@@ -15,6 +15,7 @@ from typing import Any
 
 from .errors import ChargraphError, OutOfRange, TooLarge
 from .exactness import (
+    HAMILTON_F_RANGE,
     ExactnessReport,
     VerificationRecord,
     check_n_exact,
@@ -25,7 +26,6 @@ from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
 from .search import sweep_models
 
 DEFAULT_SUITE_NS = (4, 5, 6, 7)
-HAMILTON_F_RANGE = (2, 12)
 
 
 def graph_to_document(g: PrimeGraph, metadata: dict[str, Any] | None = None) -> dict[str, Any]:

@@ -96,7 +96,7 @@ def check_n_exact(g: PrimeGraph, n: int, *, character_model: bool = False) -> Ex
     free, clique_witness = is_kn_free(g, n)
     odd_cycle = None
     if free:
-        odd_cycle = longest_odd_cycle_at_least(complement(g), max(3, 2 * n - 5))
+        odd_cycle = longest_odd_cycle_at_least(complement(g), 2 * n - 5)
     verdict = free and odd_cycle is not None
     if not verdict:
         extremal_class = NOT_EXACT
@@ -143,17 +143,18 @@ def alternating_cycle_witness(u: int, minus_part, plus_part) -> CycleWitness:
 
 def verify_order_bound(model: CharModel, n: int) -> VerificationRecord:
     """PASS when the model's graph is not n-exact, or its order is <= 2n-1."""
-    if n < 4:
-        raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
-    g = model_graph(model)
-    report = check_n_exact(g, n, character_model=True)
+    report = check_n_exact(model_graph(model), n, character_model=True)
+    return _order_bound_record(describe_model(model), report)
+
+
+def _order_bound_record(name: str, report: ExactnessReport, **extra: Any) -> VerificationRecord:
+    """The order-bound record of a model's report, extra entries appended to its details."""
+    n = report.n
     bound = 2 * n - 1
-    passed = (not report.verdict) or report.order <= bound
-    name = describe_model(model)
     return VerificationRecord(
         check="order_bound",
         description=f"{name}: n = {n}, order {report.order} vs bound {bound}",
-        passed=passed,
+        passed=(not report.verdict) or report.order <= bound,
         details={
             "model": name,
             "n": n,
@@ -163,6 +164,7 @@ def verify_order_bound(model: CharModel, n: int) -> VerificationRecord:
             "extremal_class": report.extremal_class,
             "clique_witness": list(report.clique_witness) if report.clique_witness else None,
             "odd_cycle": list(report.odd_cycle.vertices_in_order) if report.odd_cycle else None,
+            **extra,
         },
     )
 
@@ -182,6 +184,25 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """
     if n < 4:
         raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
+    case, alpha, k, expected_order = _catalog_case(model, n)
+    if expected_order is None:
+        return ExtremalCase(case, alpha, k, None, None, None)
+    report = check_n_exact(model_graph(model), n, character_model=True)
+    return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
+
+
+# (k - n, number of Type1/Type4 pairs) -> catalog case
+_CASE_OF_SHAPE = {
+    (-3, 0): CASE_MIN_ABELIAN,
+    (-3, 2): CASE_MAX_TWO_PAIRS,
+    (-2, 1): CASE_MAX_ONE_PAIR,
+    (-1, 0): CASE_MAX_ABELIAN,
+}
+
+
+def _catalog_case(model: CharModel, n: int) -> tuple[str, int, int, int | None]:
+    """(case, alpha, k, expected order) of a product model, as documented in
+    classify_extremal_case; the expected order is None when not covered."""
     if not isinstance(model, Product):
         raise ShapeMismatch("expected a product model")
     psl2_factors = [f for f in model.factors if isinstance(f, PSL2)]
@@ -202,35 +223,29 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
         )
     k = k_minus
     if k not in (n - 3, n - 2, n - 1):
-        return ExtremalCase(CASE_NOT_COVERED, alpha, k, None, None, None)
+        return CASE_NOT_COVERED, alpha, k, None
     pairs = [f for f in rest if f.label in DISCONNECTED_LABELS]
     nontrivial = [f for f in rest if f.label not in DISCONNECTED_LABELS and f.label != "Abelian"]
     if nontrivial:
         raise ShapeMismatch("the solvable part must consist of Type1/Type4 pairs and abelian factors")
-    shape = (k - n, len(pairs))
-    if shape == (-3, 0):
-        case, expected_order = CASE_MIN_ABELIAN, 2 * n - 5
-    elif shape == (-3, 2):
-        case, expected_order = CASE_MAX_TWO_PAIRS, 2 * n - 1
-    elif shape == (-2, 1):
-        case, expected_order = CASE_MAX_ONE_PAIR, 2 * n - 1
-    elif shape == (-1, 0):
-        case, expected_order = CASE_MAX_ABELIAN, 2 * n - 1
-    else:
+    case = _CASE_OF_SHAPE.get((k - n, len(pairs)))
+    if case is None:
         raise ShapeMismatch(
             f"{len(pairs)} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
         )
-    report = check_n_exact(model_graph(model), n, character_model=True)
-    verified = report.verdict and report.order == expected_order
-    return ExtremalCase(case, alpha, k, expected_order, report, verified)
+    return case, alpha, k, (2 * n - 5 if case == CASE_MIN_ABELIAN else 2 * n - 1)
+
+
+# the exponents f of q = 2^f the Hamilton characterization is verified for
+HAMILTON_F_RANGE = (2, 12)
 
 
 def verify_hamilton_characterization(f: int) -> VerificationRecord:
     """Check, for q = 2^f, that the complement of the PSL2(q) graph is
     non-bipartite and Hamiltonian exactly when the sizes of pi(q-1) and
     pi(q+1) differ by at most 1."""
-    if not 2 <= f <= 12:
-        raise BadParameter(f"f must lie in [2, 12], got {f}")
+    if not HAMILTON_F_RANGE[0] <= f <= HAMILTON_F_RANGE[1]:
+        raise BadParameter(f"f must lie in {list(HAMILTON_F_RANGE)}, got {f}")
     q = 2**f
     comp = complement(psl2_graph(q))
     bipartite = is_bipartite(comp)

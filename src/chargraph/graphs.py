@@ -2,6 +2,12 @@
 n-exactness test needs: maximum clique, odd cycles, bipartiteness,
 Hamiltonicity, components, and brute-force isomorphism for small instances.
 
+A graph is stored once, as per-vertex adjacency bitmasks over its ascending
+vertex tuple, and every search reads those masks.  The public constructor
+validates its input (prime vertices, no loops, known endpoints);
+complement, induced_subgraph and join derive their masks from graphs that
+already passed it, so they skip that validation.
+
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
 certificates.
@@ -10,7 +16,6 @@ certificates.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -26,35 +31,44 @@ MAX_ISO_VERTICES = 8
 class PrimeGraph:
     """Immutable simple graph whose vertices are primes.
 
-    Edges are stored canonically as (smaller, larger) pairs; equality and
-    hashing are structural (same vertex set, same edge set).
+    The graph is its ascending vertex tuple plus one adjacency bitmask per
+    vertex: bit j of the mask at index i is set when vertices[i] and
+    vertices[j] are adjacent.  Edges come out as (smaller, larger) pairs;
+    equality and hashing are structural (same vertex set, same edge set).
     """
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "_index", "_adj")
 
     vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
         verts = tuple(sorted(set(vertices)))
         for v in verts:
             if not is_prime(v):
                 raise BadParameter(f"vertex {v} is not prime")
-        vset = set(verts)
-        canon = set()
+        index = {v: i for i, v in enumerate(verts)}
+        adj = [0] * len(verts)
         for a, b in edges:
             if a == b:
                 raise BadParameter(f"loop at vertex {a}")
-            if a not in vset or b not in vset:
+            if a not in index or b not in index:
                 raise UnknownVertex(f"edge ({a}, {b}) has an endpoint outside the vertex set")
-            canon.add((a, b) if a < b else (b, a))
+            i, j = index[a], index[b]
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
         self.vertices = verts
-        self.edges = frozenset(canon)
-        adj: dict[int, set[int]] = {v: set() for v in verts}
-        for a, b in canon:
-            adj[a].add(b)
-            adj[b].add(a)
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
+        self._index = index
+        self._adj = tuple(adj)
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[int, ...], adj: Iterable[int]) -> PrimeGraph:
+        """A graph derived from validated graphs: ascending prime vertices and
+        symmetric, loop-free masks, taken as they are."""
+        g = object.__new__(cls)
+        g.vertices = vertices
+        g._index = {v: i for i, v in enumerate(vertices)}
+        g._adj = tuple(adj)
+        return g
 
     @property
     def order(self) -> int:
@@ -62,30 +76,35 @@ class PrimeGraph:
 
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return sum(mask.bit_count() for mask in self._adj) // 2
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_edges())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise UnknownVertex(f"vertex {v} is not in the graph") from None
+        if v not in self._index:
+            raise UnknownVertex(f"vertex {v} is not in the graph")
+        return frozenset(self.vertices[j] for j in _bits(self._adj[self._index[v]]))
 
     def has_edge(self, a: int, b: int) -> bool:
-        return ((a, b) if a < b else (b, a)) in self.edges
+        i, j = self._index.get(a), self._index.get(b)
+        return i is not None and j is not None and bool(self._adj[i] >> j & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        verts = self.vertices
+        return [(verts[i], verts[j]) for i, mask in enumerate(self._adj) for j in _bits(mask >> i << i)]
 
     def __contains__(self, v: int) -> bool:
-        return v in self._adj
+        return v in self._index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edges == other.edges
+        return self.vertices == other.vertices and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, self._adj))
 
     def __repr__(self) -> str:
         return f"PrimeGraph(vertices={self.vertices}, edges={self.sorted_edges()})"
@@ -111,8 +130,6 @@ class CycleWitness:
     def validates_in(self, g: PrimeGraph) -> bool:
         """True when every consecutive pair (cyclically) is an edge of g."""
         vs = self.vertices_in_order
-        if any(v not in g for v in vs):
-            return False
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
 
@@ -134,12 +151,8 @@ class HamiltonResult(NamedTuple):
 
 def complement(g: PrimeGraph) -> PrimeGraph:
     """Same vertices; an edge exactly where g has none."""
-    edges = [
-        (a, b)
-        for a, b in itertools.combinations(g.vertices, 2)
-        if not g.has_edge(a, b)
-    ]
-    return PrimeGraph(g.vertices, edges)
+    full = (1 << g.order) - 1
+    return PrimeGraph._trusted(g.vertices, (full ^ mask ^ (1 << i) for i, mask in enumerate(g._adj)))
 
 
 def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
@@ -147,8 +160,11 @@ def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
     missing = sorted(sub - set(g.vertices))
     if missing:
         raise UnknownVertex(f"vertices {missing} are not in the graph")
-    edges = [(a, b) for a, b in g.edges if a in sub and b in sub]
-    return PrimeGraph(sub, edges)
+    verts = tuple(sorted(sub))
+    old = [g._index[v] for v in verts]
+    new_of = {i: k for k, i in enumerate(old)}
+    keep = sum(1 << i for i in old)
+    return PrimeGraph._trusted(verts, (_relabel(g._adj[i] & keep, new_of) for i in old))
 
 
 def join(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
@@ -156,19 +172,20 @@ def join(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
     overlap = set(g1.vertices) & set(g2.vertices)
     if overlap:
         raise VertexClash(f"vertex sets overlap on {sorted(overlap)}")
-    cross = [(a, b) for a in g1.vertices for b in g2.vertices]
-    return PrimeGraph(g1.vertices + g2.vertices, list(g1.edges) + list(g2.edges) + cross)
-
-
-def _masks(g: PrimeGraph) -> tuple[tuple[int, ...], list[int]]:
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
+    verts = tuple(sorted(g1.vertices + g2.vertices))
+    index = {v: k for k, v in enumerate(verts)}
     adj = [0] * len(verts)
-    for a, b in g.edges:
-        i, j = index[a], index[b]
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-    return verts, adj
+    for g, other in ((g1, g2), (g2, g1)):
+        new_of = [index[v] for v in g.vertices]
+        cross = sum(1 << index[v] for v in other.vertices)
+        for i, mask in enumerate(g._adj):
+            adj[new_of[i]] = _relabel(mask, new_of) | cross
+    return PrimeGraph._trusted(verts, adj)
+
+
+def _relabel(mask: int, new_of) -> int:
+    """The mask with each bit i moved to bit new_of[i]."""
+    return sum(1 << new_of[i] for i in _bits(mask))
 
 
 def _bits(mask: int):
@@ -178,7 +195,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_number(adj: list[int], full: int) -> int:
+def _clique_number(adj: tuple[int, ...], full: int) -> int:
     """Maximum clique size by branch and bound with a greedy coloring bound."""
     best = 0
 
@@ -213,7 +230,7 @@ def _clique_number(adj: list[int], full: int) -> int:
     return best
 
 
-def _lex_clique_of_size(adj: list[int], n: int, k: int) -> int:
+def _lex_clique_of_size(adj: tuple[int, ...], n: int, k: int) -> int:
     """Bitmask of the lexicographically least clique of size k (must exist)."""
     if k == 0:
         return 0
@@ -242,7 +259,7 @@ def max_clique(g: PrimeGraph) -> tuple[int, ...]:
         raise TooLarge(f"clique search is capped at {MAX_CLIQUE_VERTICES} vertices, got {g.order}")
     if g.order == 0:
         return ()
-    verts, adj = _masks(g)
+    verts, adj = g.vertices, g._adj
     omega = _clique_number(adj, (1 << len(verts)) - 1)
     mask = _lex_clique_of_size(adj, len(verts), omega)
     return tuple(verts[i] for i in _bits(mask))
@@ -260,42 +277,26 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
 
 def is_bipartite(g: PrimeGraph) -> BipartiteResult:
     """2-colorability with certificate: the parts, or an odd cycle."""
-    color: dict[int, int] = {}
-    for root in g.vertices:
-        if root in color:
-            continue
-        color[root] = 0
-        parent: dict[int, int | None] = {root: None}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(g.neighbors(v)):
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    parent[w] = v
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return BipartiteResult(False, None, _conflict_cycle(v, w, parent))
-    part0 = tuple(v for v in g.vertices if color[v] == 0)
-    part1 = tuple(v for v in g.vertices if color[v] == 1)
+    verts, adj = g.vertices, g._adj
+    odd = 0  # vertices colored 1: odd depth in their breadth-first tree
+    for parent in _bfs_forest(adj):
+        for w, v in parent.items():
+            if v is not None and not odd >> v & 1:
+                odd |= 1 << w
+        for v in parent:
+            same = adj[v] & (odd if odd >> v & 1 else ~odd)
+            if same:
+                # odd cycle: v up to the lowest common ancestor of v and w,
+                # then down to w; equal colors mean equal depths, so walking
+                # both ends up in step meets at that ancestor
+                up, down = [v], [(same & -same).bit_length() - 1]
+                while up[-1] != down[-1]:
+                    up.append(parent[up[-1]])
+                    down.append(parent[down[-1]])
+                return BipartiteResult(False, None, CycleWitness(tuple(verts[i] for i in up + down[-2::-1])))
+    part0 = tuple(verts[i] for i in _bits((1 << len(verts)) - 1 & ~odd))
+    part1 = tuple(verts[i] for i in _bits(odd))
     return BipartiteResult(True, (part0, part1), None)
-
-
-def _conflict_cycle(v: int, w: int, parent: dict[int, int | None]) -> CycleWitness:
-    """Odd cycle through the offending edge (v, w) of a BFS tree."""
-
-    def path_to_root(x: int) -> list[int]:
-        path = [x]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        return path
-
-    pv, pw = path_to_root(v), path_to_root(w)
-    ancestors = set(pv)
-    lca = next(x for x in pw if x in ancestors)
-    up = pv[: pv.index(lca) + 1]          # v .. lca
-    down = pw[: pw.index(lca)][::-1]      # lca-child .. w
-    return CycleWitness(tuple(up + down))
 
 
 def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness | None:
@@ -310,7 +311,7 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
     if is_bipartite(g).is_bipartite:
         return None
-    verts, adj = _masks(g)
+    verts, adj = g.vertices, g._adj
     n = len(verts)
     path: list[int] = []
 
@@ -348,19 +349,17 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
         raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {n}")
     if n < 3:
         return HamiltonResult(False, None)
-    verts, adj = _masks(g)
+    verts, adj = g.vertices, g._adj
     if any(a.bit_count() < 2 for a in adj):
         return HamiltonResult(False, None)
     full = (1 << n) - 1
-    if not _spans(adj, full, 0):
-        return HamiltonResult(False, None)
     path = [0]
 
     def dfs(v: int, visited: int) -> bool:
         if visited == full:
             return bool(adj[v] & 1)
         rem = full & ~visited
-        if not _spans(adj, rem | (1 << v), v):
+        if len(_bfs_tree(adj, rem | (1 << v), v)) <= rem.bit_count():  # part of rem is cut off from v
             return False
         avail = rem | (1 << v) | 1
         for u in _bits(rem):
@@ -381,37 +380,36 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
     return HamiltonResult(False, None)
 
 
-def _spans(adj: list[int], mask: int, seed: int) -> bool:
-    """True when every vertex of mask is reachable from seed inside mask."""
+def _bfs_tree(adj: tuple[int, ...], mask: int, seed: int) -> dict[int, int | None]:
+    """Breadth-first tree over the vertices of mask reachable from seed
+    inside mask: vertex -> parent (None for seed), in visiting order.  Each
+    vertex queues its undiscovered neighbors in ascending order."""
+    parent: dict[int, int | None] = {seed: None}
+    queue = [seed]
     seen = 1 << seed
-    frontier = seen
-    while frontier:
-        reach = 0
-        for i in _bits(frontier):
-            reach |= adj[i] & mask
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen & mask == mask
+    for v in queue:  # the loop also visits what it appends
+        new = adj[v] & mask & ~seen
+        seen |= new
+        while new:  # _bits inlined: this runs at every Hamilton search node
+            w = (new & -new).bit_length() - 1
+            new &= new - 1
+            parent[w] = v
+            queue.append(w)
+    return parent
+
+
+def _bfs_forest(adj: tuple[int, ...]):
+    """Breadth-first trees of the components, in order of least vertex."""
+    rest = (1 << len(adj)) - 1
+    while rest:
+        tree = _bfs_tree(adj, rest, (rest & -rest).bit_length() - 1)
+        yield tree
+        rest &= ~sum(1 << i for i in tree)
 
 
 def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, ordered by least element."""
-    seen: set[int] = set()
-    components = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return components
+    return [tuple(g.vertices[i] for i in sorted(tree)) for tree in _bfs_forest(g._adj)]
 
 
 def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:
@@ -420,12 +418,11 @@ def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:
         raise TooLarge(f"isomorphism check is capped at {MAX_ISO_VERTICES} vertices")
     if g1.order != g2.order or g1.size != g2.size:
         return False
-    deg1 = sorted(len(g1.neighbors(v)) for v in g1.vertices)
-    deg2 = sorted(len(g2.neighbors(v)) for v in g2.vertices)
-    if deg1 != deg2:
+    if sorted(a.bit_count() for a in g1._adj) != sorted(a.bit_count() for a in g2._adj):
         return False
+    edges1 = g1.sorted_edges()
     for perm in itertools.permutations(g2.vertices):
         mapping = dict(zip(g1.vertices, perm))
-        if all(g2.has_edge(mapping[a], mapping[b]) for a, b in g1.edges):
+        if all(g2.has_edge(mapping[a], mapping[b]) for a, b in edges1):
             return True
     return False

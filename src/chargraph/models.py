@@ -55,13 +55,8 @@ class PSL2:
     q: PrimePower
 
     def __post_init__(self) -> None:
-        q = self.q
-        if isinstance(q, int):
-            parsed = as_prime_power(q)
-            if parsed is None:
-                raise BadParameter(f"{q} is not a prime power")
-            object.__setattr__(self, "q", parsed)
-            q = parsed
+        q = _coerce_prime_power(self.q)
+        object.__setattr__(self, "q", q)
         if q.value < 4:
             raise BadParameter(f"PSL2 needs q >= 4, got {q.value}")
 
@@ -183,9 +178,7 @@ def psl2_graph(q: PrimePower | int) -> PrimeGraph:
     both parts complete, and no edges across the parts.
     q = 5 is routed through q = 4 (the two groups are isomorphic).
     """
-    qq = _coerce_prime_power(q)
-    if qq.value < 4:
-        raise BadParameter(f"PSL2 needs q >= 4, got {qq.value}")
+    qq = PSL2(q).q
     if qq.value == 5:
         qq = PrimePower(2, 2)
     return _psl2_graph_cached(qq.base, qq.exponent)
@@ -230,10 +223,7 @@ def psl2_degree_oracle(q: PrimePower | int) -> DegreeSet:
     structural constructor: {1, q-1, q, q+1} for even q, plus (q+e)/2 with
     e = +1 for q = 1 mod 4 and e = -1 otherwise, for odd q.  q = 5 routes
     through q = 4."""
-    qq = _coerce_prime_power(q)
-    value = qq.value
-    if value < 4:
-        raise BadParameter(f"PSL2 needs q >= 4, got {value}")
+    value = PSL2(q).q.value
     if value == 5:
         value = 4
     if value % 2 == 0:

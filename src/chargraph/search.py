@@ -17,10 +17,11 @@ from .exactness import (
     CASE_MIN_ABELIAN,
     CASE_NOT_COVERED,
     VerificationRecord,
-    classify_extremal_case,
-    verify_order_bound,
+    _catalog_case,
+    _order_bound_record,
+    check_n_exact,
 )
-from .models import PSL2, AbstractSolvable, Product, abelian, disconnected_pair
+from .models import PSL2, AbstractSolvable, Product, abelian, describe_model, disconnected_pair, model_graph
 from .numtheory import PrimePower, is_prime, prime_divisors
 
 # 2^90 + 1 stays inside the factorization range, with headroom
@@ -125,37 +126,32 @@ def sweep_models(n: int, alpha_range: tuple[int, int], solvable_shapes=SOLVABLE_
         for shape in solvable_shapes:
             factors = _solvable_factors(shape, exclude)
             model = Product((PSL2(PrimePower(2, alpha)), *factors))
-            record = verify_order_bound(model, n)
-            record.details["alpha"] = alpha
-            record.details["shape"] = shape
+            name = describe_model(model)
+            report = check_n_exact(model_graph(model), n, character_model=True)
             try:
-                outcome = classify_extremal_case(model, n)
+                case, _, k, expected_order = _catalog_case(model, n)
             except AsymmetricPiSizes:
-                record.details["case"] = "asymmetric"
+                case = "asymmetric"
             except ShapeMismatch:
-                record.details["case"] = "shape_mismatch"
+                case = "shape_mismatch"
             else:
-                record.details["case"] = outcome.case
-                if outcome.case != CASE_NOT_COVERED:
+                if case != CASE_NOT_COVERED:
                     records.append(
                         VerificationRecord(
                             check="extremal_case",
-                            description=(
-                                f"{record.details['model']}: case {outcome.case} at alpha = {alpha}, "
-                                f"expected order {outcome.expected_order}"
-                            ),
-                            passed=bool(outcome.verified),
+                            description=f"{name}: case {case} at alpha = {alpha}, expected order {expected_order}",
+                            passed=report.verdict and report.order == expected_order,
                             details={
-                                "model": record.details["model"],
+                                "model": name,
                                 "n": n,
                                 "alpha": alpha,
-                                "case": outcome.case,
-                                "k": outcome.k,
-                                "expected_order": outcome.expected_order,
-                                "order": outcome.report.order if outcome.report else None,
-                                "n_exact": outcome.report.verdict if outcome.report else None,
+                                "case": case,
+                                "k": k,
+                                "expected_order": expected_order,
+                                "order": report.order,
+                                "n_exact": report.verdict,
                             },
                         )
                     )
-            records.append(record)
+            records.append(_order_bound_record(name, report, alpha=alpha, shape=shape, case=case))
     return records

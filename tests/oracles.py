@@ -1,8 +1,8 @@
 """Independent brute-force oracles the real implementations are checked against.
 
 Everything here is deliberately naive: trial division, all-subsets clique
-search, all-permutations cycle search, all-colorings bipartiteness.  None of
-it shares code with the library.
+search, all-permutations cycle search, all-colorings bipartiteness, block
+merging for components.  None of it shares code with the library.
 """
 
 from __future__ import annotations
@@ -81,6 +81,18 @@ def brute_is_bipartite(vertices, edges) -> bool:
         if all(color[a] != color[b] for a, b in edge_list):
             return True
     return False
+
+
+def brute_components(vertices, edges) -> list[tuple[int, ...]]:
+    """Start from singleton blocks and merge the blocks of each edge's ends."""
+    blocks = [{v} for v in vertices]
+    for a, b in edges:
+        block_a = next(block for block in blocks if a in block)
+        block_b = next(block for block in blocks if b in block)
+        if block_a is not block_b:
+            blocks.remove(block_b)
+            block_a |= block_b
+    return sorted(tuple(sorted(block)) for block in blocks)
 
 
 def brute_is_hamiltonian(vertices, edges) -> bool:

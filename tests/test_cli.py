@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -70,6 +71,15 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, out3, _ = invoke(capsys, "--quiet", "suzuki", "2", "--format", "dot")
     _, out4, _ = invoke(capsys, "--quiet", "suzuki", "2", "--format", "dot")
     assert out3 == out4
+
+
+def test_suite_json_matches_the_recorded_digest(capsys):
+    """The suite document is pinned byte for byte, so a refactor that changes
+    any verdict, certificate or record order shows up here."""
+    code, out, _ = invoke(capsys, "--quiet", "verify", "--suite", "--alpha-max", "48")
+    assert code == 0
+    assert len(out.encode()) == 338880
+    assert hashlib.sha256(out.encode()).hexdigest() == "51ad29eb39a34977abfc7407c323ca79f8173b8ad444344dc2dd2c416f2066b1"
 
 
 def test_degrees_command(tmp_path, capsys):

@@ -21,6 +21,7 @@ from chargraph.graphs import (
 )
 
 from oracles import (
+    brute_components,
     brute_is_bipartite,
     brute_is_hamiltonian,
     brute_max_clique,
@@ -310,6 +311,24 @@ def test_searches_match_oracles_on_sampled_6_vertex_graphs(mask):
         assert (found is not None) == brute_odd_cycle_exists(PRIMES6, edges, target)
         if found is not None:
             assert found.validates_in(g) and found.length >= target
+    assert connected_components(g) == brute_components(PRIMES6, edges)
+    # derived graphs skip validation, so they must equal validated builds
+    assert_built_as(complement(g), PRIMES6, [p for p in PAIRS6 if p not in edges])
+    subset = [v for k, v in enumerate(PRIMES6) if mask >> (2 * k) & 1]
+    assert_built_as(induced_subgraph(g, subset), subset, [(a, b) for a, b in edges if a in subset and b in subset])
+    other = (17, 19, 23)
+    other_edges = [e for k, e in enumerate(itertools.combinations(other, 2)) if mask >> k & 1]
+    assert_built_as(
+        join(g, PrimeGraph(other, other_edges)),
+        PRIMES6 + other,
+        edges + other_edges + [(a, b) for a in PRIMES6 for b in other],
+    )
+
+
+def assert_built_as(derived: PrimeGraph, vertices, edges) -> None:
+    built = PrimeGraph(vertices, edges)
+    assert derived == built and hash(derived) == hash(built)
+    assert derived.edges == built.edges == {tuple(sorted(e)) for e in edges}
 
 
 def test_cycle_witness_validation():
