@@ -304,6 +304,17 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
     order (ascending start vertex, ascending neighbor), or None.
 
     min_length must be an odd integer >= 3; even values are a caller error.
+
+    The depth-first search cuts a subtree only when it holds no qualifying
+    cycle, or when a subtree searched before it holds one, so the returned
+    witness is the one the unpruned search would return.  Three rules cut:
+    - reachability: no free vertex reachable from the path's end through
+      free vertices is a neighbor of the start;
+    - degree: too few of those reachable vertices have two neighbors among
+      themselves, the path's end and the start to reach min_length;
+    - twins: vertices whose neighborhoods agree apart from each other are
+      swapped by an automorphism, so a neighbor is skipped while a lower twin
+      of it is free, and a start with a lower twin is skipped.
     """
     if g.order > MAX_CYCLE_VERTICES:
         raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
@@ -313,17 +324,26 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         return None
     verts, adj = g.vertices, g._adj
     n = len(verts)
+    twins_below = _twins_below(adj)
     path: list[int] = []
 
     def dfs(start: int, v: int, visited: int, allowed: int, length: int) -> bool:
         if length >= min_length and length % 2 == 1 and (adj[v] >> start) & 1:
             return True
-        if length + (allowed & ~visited).bit_count() < min_length:
+        free = allowed & ~visited
+        reach = _reach(adj, v, free)
+        if not reach & adj[start]:
             return False
-        cand = adj[v] & allowed & ~visited
+        around = reach | (1 << v) | (1 << start)
+        usable = sum((adj[u] & around).bit_count() >= 2 for u in _bits(reach))
+        if length + usable < min_length:
+            return False
+        cand = adj[v] & free
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
+            if twins_below[w] & free:
+                continue
             path.append(w)
             if dfs(start, w, visited | (1 << w), allowed, length + 1):
                 return True
@@ -334,6 +354,8 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
     for s in range(n):
         if n - s < min_length:
             break
+        if twins_below[s]:
+            continue
         allowed = full & ~((1 << s) - 1)  # cycles whose least vertex is s
         path.clear()
         path.append(s)
@@ -343,7 +365,14 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
 
 def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
-    """Exact Hamiltonian-cycle search with connectivity/degree pruning."""
+    """Exact Hamiltonian-cycle search from the least vertex, ascending
+    neighbor first.
+
+    A subtree is cut when some unvisited vertex is cut off from the path's
+    end or has fewer than two usable neighbors, and a neighbor is skipped
+    while a lower twin of it is unvisited (see longest_odd_cycle_at_least);
+    neither rule changes the returned cycle.
+    """
     n = g.order
     if n > MAX_HAMILTON_VERTICES:
         raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {n}")
@@ -353,13 +382,14 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
     if any(a.bit_count() < 2 for a in adj):
         return HamiltonResult(False, None)
     full = (1 << n) - 1
+    twins_below = _twins_below(adj)
     path = [0]
 
     def dfs(v: int, visited: int) -> bool:
         if visited == full:
             return bool(adj[v] & 1)
         rem = full & ~visited
-        if len(_bfs_tree(adj, rem | (1 << v), v)) <= rem.bit_count():  # part of rem is cut off from v
+        if _reach(adj, v, rem) != rem:
             return False
         avail = rem | (1 << v) | 1
         for u in _bits(rem):
@@ -369,6 +399,8 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
+            if twins_below[w] & rem:
+                continue
             path.append(w)
             if dfs(w, visited | (1 << w)):
                 return True
@@ -378,6 +410,38 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
     if dfs(0, 1):
         return HamiltonResult(True, CycleWitness(tuple(verts[i] for i in path)))
     return HamiltonResult(False, None)
+
+
+def _reach(adj: tuple[int, ...], seed: int, within: int) -> int:
+    """Mask of the vertices of `within` reachable from vertex seed, which
+    lies outside it, through `within`."""
+    seen = 0
+    frontier = adj[seed] & within
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        while frontier:  # _bits inlined: this runs at every search node
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+    return seen
+
+
+def _twins_below(adj: tuple[int, ...]) -> list[int]:
+    """Per vertex, the mask of its lower-indexed twins: vertices whose
+    neighborhoods equal its own apart from each other, that is, equal open
+    neighborhoods (non-adjacent twins) or equal closed ones (adjacent twins).
+    Each is an equivalence, and no open mask equals a closed one (that vertex
+    would be its own neighbor), so one table groups by both."""
+    groups: dict[int, int] = {}
+    below = []
+    for i, mask in enumerate(adj):
+        keys = (mask, mask | (1 << i))
+        below.append(groups.get(keys[0], 0) | groups.get(keys[1], 0))
+        for key in keys:
+            groups[key] = groups.get(key, 0) | (1 << i)
+    return below
 
 
 def _bfs_tree(adj: tuple[int, ...], mask: int, seed: int) -> dict[int, int | None]:
@@ -390,9 +454,7 @@ def _bfs_tree(adj: tuple[int, ...], mask: int, seed: int) -> dict[int, int | Non
     for v in queue:  # the loop also visits what it appends
         new = adj[v] & mask & ~seen
         seen |= new
-        while new:  # _bits inlined: this runs at every Hamilton search node
-            w = (new & -new).bit_length() - 1
-            new &= new - 1
+        for w in _bits(new):
             parent[w] = v
             queue.append(w)
     return parent

@@ -110,3 +110,23 @@ def brute_is_hamiltonian(vertices, edges) -> bool:
         ):
             return True
     return False
+
+
+def brute_first_odd_cycle(vertices, edges, min_length: int) -> tuple[int, ...] | None:
+    """Least qualifying cycle tuple, each written from its least vertex, by
+    scanning every arrangement of every subset of odd size >= min_length."""
+    edge_set = {tuple(sorted(e)) for e in edges}
+    verts = sorted(vertices)
+    found = []
+    for size in range(min_length, len(verts) + 1):
+        if size % 2 == 0:
+            continue
+        for subset in itertools.combinations(verts, size):
+            for perm in itertools.permutations(subset[1:]):
+                cycle = (subset[0],) + perm
+                if all(
+                    tuple(sorted((cycle[i], cycle[(i + 1) % size]))) in edge_set
+                    for i in range(size)
+                ):
+                    found.append(cycle)
+    return min(found, default=None)

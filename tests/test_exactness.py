@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from chargraph.exactness import (
     verify_hamilton_characterization,
     verify_order_bound,
 )
-from chargraph.graphs import PrimeGraph, complement, max_clique
+from chargraph.graphs import PrimeGraph, complement, is_hamiltonian, max_clique
 from chargraph.models import PSL2, Product, abelian, disconnected_pair, model_graph, psl2_graph
 from chargraph.numtheory import PrimePower, prime_divisors
 
@@ -235,6 +236,41 @@ def test_classification_rejects_wrong_shapes():
     odd_char = Product((PSL2(PrimePower(3, 2)), abelian()))
     with pytest.raises(ShapeMismatch):
         classify_extremal_case(odd_char, 5)
+
+
+# --- hard instances: odd-cycle and Hamilton searches through many vertices ---
+
+
+def test_dense_25_vertex_graphs_are_decided():
+    """G(25, 0.8) on the first 25 primes: the complement searches for an odd
+    cycle of length 25, four of the five without one."""
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    pairs = list(itertools.combinations(primes, 2))
+    rng = random.Random(1)
+    verdicts = []
+    for _ in range(5):
+        g = PrimeGraph(primes, [e for e in pairs if rng.random() < 0.8])
+        report = check_n_exact(g, 15)
+        assert report.is_kn_free
+        verdicts.append(report.verdict)
+        if report.verdict:
+            assert report.odd_cycle.validates_in(complement(g))
+            # the canonical first cycle, as the unpruned search finds it
+            assert report.odd_cycle.vertices_in_order == (
+                2, 5, 23, 11, 7, 59, 61, 3, 43, 31, 41, 89, 73, 67, 13, 71, 97, 83, 47, 17, 19, 29, 79, 37, 53
+            )
+    assert verdicts == [False, False, True, False, False]
+
+
+@pytest.mark.parametrize("f", [36, 66, 72, 75, 84])
+def test_psl2_complement_hamiltonian_iff_no_part_holds_more_than_half(f):
+    q = 2**f
+    comp = complement(psl2_graph(q))
+    largest = max(1, len(prime_divisors(q - 1)), len(prime_divisors(q + 1)))
+    ok, cycle = is_hamiltonian(comp)
+    assert ok == (2 * largest <= comp.order)
+    if ok:
+        assert cycle.validates_in(comp) and cycle.length == comp.order
 
 
 # --- hamilton characterization ---

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from chargraph.graphs import (
 
 from oracles import (
     brute_components,
+    brute_first_odd_cycle,
     brute_is_bipartite,
     brute_is_hamiltonian,
     brute_max_clique,
@@ -269,6 +271,69 @@ def test_hamilton_cap():
     many = [p for p in range(2, 100) if all(p % d for d in range(2, p))][:21]
     with pytest.raises(TooLarge):
         is_hamiltonian(PrimeGraph(many))
+
+
+# --- pruned searches on twin-rich graphs near the Hamilton regime ---
+
+PRIMES9 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def multipartite(rng, verts):
+    cuts = sorted(rng.sample(range(1, len(verts)), rng.randint(1, 4)))
+    part = {v: sum(k <= i for k in cuts) for i, v in enumerate(verts)}
+    return PrimeGraph(verts, [(a, b) for a, b in itertools.combinations(verts, 2) if part[a] != part[b]])
+
+
+def c5_blowup(rng, verts):
+    cls = {v: i if i < 5 else rng.randrange(5) for i, v in enumerate(verts)}
+    cliques = {c for c in range(5) if rng.random() < 0.5}
+    edges = [
+        (a, b)
+        for a, b in itertools.combinations(verts, 2)
+        if (cls[a] - cls[b]) % 5 in (1, 4) or (cls[a] == cls[b] and cls[a] in cliques)
+    ]
+    return PrimeGraph(verts, edges)
+
+
+def join_complement(rng, verts):
+    cut = rng.randint(1, len(verts) - 1)
+    halves = [
+        PrimeGraph(half, [e for e in itertools.combinations(half, 2) if rng.random() < 0.4])
+        for half in (verts[:cut], verts[cut:])
+    ]
+    return complement(join(*halves))
+
+
+def random_graph(rng, verts):
+    p = rng.uniform(0.4, 0.9)
+    return PrimeGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
+def twin_rich_graphs(per_family: int):
+    """Graphs on 7-9 vertices from each family, labels shuffled so that twin
+    classes are spread over the vertex order."""
+    rng = random.Random(5)
+    for family in (multipartite, c5_blowup, join_complement, random_graph):
+        for _ in range(per_family):
+            verts = rng.sample(PRIMES9, rng.randint(7, 9))
+            yield family(rng, verts)
+
+
+def test_odd_cycle_and_hamilton_witnesses_match_oracles_on_twin_rich_graphs():
+    for g in twin_rich_graphs(7):
+        verts, edges = g.vertices, g.sorted_edges()
+        target = g.order if g.order % 2 else g.order - 1
+        found = longest_odd_cycle_at_least(g, target)
+        first = brute_first_odd_cycle(verts, edges, target)
+        assert (found is not None) == brute_odd_cycle_exists(verts, edges, target), g
+        assert (found and found.vertices_in_order) == first, g
+        ok, cycle = is_hamiltonian(g)
+        assert ok == brute_is_hamiltonian(verts, edges), g
+        if ok:
+            assert cycle.validates_in(g) and cycle.length == g.order
+        if g.order % 2:
+            # the canonical first cycle through all vertices starts at the least
+            assert (cycle and cycle.vertices_in_order) == first, g
 
 
 # --- components / isomorphism ---
