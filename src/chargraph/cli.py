@@ -8,6 +8,7 @@ Exit codes: 0 success (and every verification PASS), 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from .exactness import (
 )
 from .graphs import PrimeGraph, connected_components
 from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
-from .search import sweep_models
+from .search import ALPHA_CAP, sweep_models
 
 DEFAULT_SUITE_NS = (4, 5, 6, 7)
 
@@ -38,21 +39,28 @@ def graph_to_document(g: PrimeGraph, metadata: dict[str, Any] | None = None) -> 
     return doc
 
 
+_EDGES_MESSAGE = '"edges" must be a list of 2-element integer lists'
+
+
 def document_to_graph(doc: Any) -> tuple[PrimeGraph, dict[str, Any]]:
     if not isinstance(doc, dict):
         raise ChargraphError("graph document must be a JSON object")
     vertices = doc.get("vertices")
     edges = doc.get("edges", [])
-    if not isinstance(vertices, list) or not all(isinstance(v, int) for v in vertices):
+    # type(x) is int, not isinstance: JSON true/false are bools, a subclass of int
+    if not isinstance(vertices, list) or not all(type(v) is int for v in vertices):
         raise ChargraphError('"vertices" must be a list of integers')
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e) for e in edges
-    ):
-        raise ChargraphError('"edges" must be a list of 2-element integer lists')
+    if not isinstance(edges, list):
+        raise ChargraphError(_EDGES_MESSAGE)
+    pairs = []
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise ChargraphError(_EDGES_MESSAGE)
+        pairs.append((e[0], e[1]))
     metadata = doc.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise ChargraphError('"metadata" must be an object when present')
-    return PrimeGraph(vertices, [tuple(e) for e in edges]), metadata
+    return PrimeGraph(vertices, pairs), metadata
 
 
 def graph_to_dot(g: PrimeGraph) -> str:
@@ -156,11 +164,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _alpha_range(alpha_max: int) -> tuple[int, int]:
+    """(2, alpha_max) for search and verify.  The library accepts an empty
+    range; the CLI refuses it, so an empty sweep cannot print PASS."""
+    if alpha_max < 2:
+        raise OutOfRange(f"alpha range must lie within [2, {ALPHA_CAP}], got [2, {alpha_max}]")
+    return 2, alpha_max
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
     from .search import find_alphas
 
     k_target = {"n-3": args.n - 3, "n-2": args.n - 2, "n-1": args.n - 1}[args.k]
-    result = find_alphas(args.n, k_target, (2, args.alpha_max))
+    result = find_alphas(args.n, k_target, _alpha_range(args.alpha_max))
     payload = {
         "n": result.n,
         "k_target": result.k_target,
@@ -186,10 +202,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not args.suite:
         raise ChargraphError("verify requires --suite")
+    alpha_range = _alpha_range(args.alpha_max)
     ns = [args.n] if args.n is not None else list(DEFAULT_SUITE_NS)
     records: list[VerificationRecord] = []
     for n in ns:
-        records.extend(sweep_models(n, (2, args.alpha_max)))
+        records.extend(sweep_models(n, alpha_range))
     for f in range(HAMILTON_F_RANGE[0], HAMILTON_F_RANGE[1] + 1):
         records.append(verify_hamilton_characterization(f))
     failures = [r for r in records if not r.passed]
@@ -220,7 +237,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return _emit_graph(g, metadata, args.format, args.quiet, f"{g.order} vertices, {g.size} edges")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after it.  Parsing
+    leaves it unchanged, and help and errors go to the sys.stdout/sys.stderr
+    of each call, so repeated run() calls in one process behave as fresh ones."""
     parser = argparse.ArgumentParser(
         prog="chargraph",
         description="Prime-divisor character graphs: construction, n-exactness analysis, extremal search and verification.",
@@ -274,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

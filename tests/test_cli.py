@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chargraph.cli import document_to_graph, graph_to_document, graph_to_dot, run
+from chargraph.cli import build_parser, document_to_graph, graph_to_document, graph_to_dot, run
+from chargraph.errors import ChargraphError
 from chargraph.models import psl2_graph, suzuki_graph
 from chargraph.search import sweep_models
 
@@ -27,10 +32,25 @@ def test_json_round_trip_for_generated_graphs():
 
 
 def test_document_validation():
-    with pytest.raises(Exception):
-        document_to_graph({"vertices": "nope"})
-    with pytest.raises(Exception):
-        document_to_graph({"vertices": [2, 3], "edges": [[2]]})
+    vertices_message = '"vertices" must be a list of integers'
+    edges_message = '"edges" must be a list of 2-element integer lists'
+    cases = [
+        ([], "graph document must be a JSON object"),
+        ({"vertices": "nope"}, vertices_message),
+        ({"vertices": [3, 5, True]}, vertices_message),
+        ({"vertices": [2, 3], "edges": {"2": 3}}, edges_message),
+        ({"vertices": [2, 3], "edges": [[2]]}, edges_message),
+        ({"vertices": [2, 3, 5], "edges": [[2, 3, 5]]}, edges_message),
+        ({"vertices": [2, 3], "edges": [[2, "3"]]}, edges_message),
+        ({"vertices": [2, 3], "edges": [2, 3]}, edges_message),
+        ({"vertices": [2, 3], "edges": [[2, 3], [False, 3]]}, edges_message),
+        ({"vertices": [2, 3], "edges": [[2, True]]}, edges_message),
+        ({"vertices": [2, 3], "metadata": [1]}, '"metadata" must be an object when present'),
+    ]
+    for doc, message in cases:
+        with pytest.raises(ChargraphError) as info:
+            document_to_graph(doc)
+        assert str(info.value) == message, doc
 
 
 def test_dot_output_shape():
@@ -173,6 +193,11 @@ def test_range_error_exits_3(capsys):
     assert code == 3 and "alpha range" in err
     code, _, _ = invoke(capsys, "--quiet", "suzuki", "30")
     assert code == 3
+    # the library sweeps an empty range; the CLI refuses one instead of a vacuous PASS
+    code, out, err = invoke(capsys, "verify", "--suite", "--alpha-max", "1")
+    assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 1]\n")
+    code, out, err = invoke(capsys, "search", "--n", "5", "--k", "n-3", "--alpha-max", "0")
+    assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 0]\n")
 
 
 def test_size_cap_exits_3(tmp_path, capsys):
@@ -200,3 +225,44 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out)["failures"] == 1
     assert "FAIL" in err
+
+
+# --- one parser per process ---
+
+
+def test_repeated_runs_match_fresh_processes(tmp_path, monkeypatch, capsys):
+    """run() shares one parser across calls; each call in a row must still
+    print and exit exactly as the same argv does in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")  # help wraps at the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    # seven isolated vertices, n = 4: order 2n - 1, so the class is MaxExtremal
+    # with --character-model and Interior without it
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({"vertices": [2, 3, 5, 7, 11, 13, 17], "edges": []}))
+    tagged = tmp_path / "tagged.json"
+    tagged.write_text(json.dumps(graph_to_document(psl2_graph(64), {"model": "PSL2(64)"})))
+    calls = [
+        ["--quiet", "analyze", "--n", "5"],
+        ["--quiet", "analyze", "--n", "4", "--input", str(plain), "--character-model"],
+        ["--quiet", "analyze", "--n", "4", "--input", str(plain)],
+        ["--quiet", "analyze", "--n", "5", "--input", str(tagged)],
+        ["psl2", "11", "--format", "dot"],
+        ["--help"],
+    ]
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [invoke(capsys, *argv)[0] for argv in calls] == [2, 0, 0, 0, 0, 0]
+    assert build_parser() is build_parser()
+
+
+def test_import_does_not_build_the_parser():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import chargraph.cli as c; print(c.build_parser.cache_info().misses)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "0\n", proc.stderr
