@@ -195,9 +195,12 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_number(adj: tuple[int, ...], full: int) -> int:
-    """Maximum clique size by branch and bound with a greedy coloring bound."""
-    best = 0
+def _clique_number(adj: tuple[int, ...], full: int, floor: int) -> int:
+    """max(clique number, floor) by branch and bound with a greedy coloring
+    bound.  The search starts with floor as its best size; the bound never
+    cuts a clique larger than the best so far, so a clique above floor is
+    still found and the result is then the clique number itself."""
+    best = floor
 
     def expand(size: int, cand: int) -> None:
         nonlocal best
@@ -232,8 +235,6 @@ def _clique_number(adj: tuple[int, ...], full: int) -> int:
 
 def _lex_clique_of_size(adj: tuple[int, ...], n: int, k: int) -> int:
     """Bitmask of the lexicographically least clique of size k (must exist)."""
-    if k == 0:
-        return 0
 
     def extend(chosen: int, cand: int, need: int) -> int | None:
         if need == 0:
@@ -253,24 +254,34 @@ def _lex_clique_of_size(adj: tuple[int, ...], n: int, k: int) -> int:
     return result
 
 
-def max_clique(g: PrimeGraph) -> tuple[int, ...]:
-    """Lexicographically least maximum clique, as an ascending tuple."""
+def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
+    """max_clique(g) when it has more than floor vertices, else ()."""
     if g.order > MAX_CLIQUE_VERTICES:
         raise TooLarge(f"clique search is capped at {MAX_CLIQUE_VERTICES} vertices, got {g.order}")
-    if g.order == 0:
-        return ()
     verts, adj = g.vertices, g._adj
-    omega = _clique_number(adj, (1 << len(verts)) - 1)
+    omega = _clique_number(adj, (1 << len(verts)) - 1, floor)
+    if omega <= floor:
+        return ()
     mask = _lex_clique_of_size(adj, len(verts), omega)
     return tuple(verts[i] for i in _bits(mask))
 
 
+def max_clique(g: PrimeGraph) -> tuple[int, ...]:
+    """Lexicographically least maximum clique, as an ascending tuple."""
+    return _max_clique_above(g, 0)
+
+
 def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
-    """Whether g contains no clique on n vertices; witness clique when it does."""
+    """Whether g contains no clique on n vertices; witness clique when it does.
+
+    The witness is max_clique(g)[:n].  The clique search starts from n - 1 as
+    its best size, so when g is K_n-free it ends without finding or computing
+    a maximum clique.
+    """
     if n < 2:
         raise BadParameter(f"clique-freeness needs n >= 2, got {n}")
-    clique = max_clique(g)
-    if len(clique) < n:
+    clique = _max_clique_above(g, n - 1)
+    if not clique:
         return KnFreeResult(True, None)
     return KnFreeResult(False, clique[:n])
 
@@ -320,7 +331,7 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
     if min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
-    if is_bipartite(g).is_bipartite:
+    if min_length > g.order or is_bipartite(g).is_bipartite:
         return None
     verts, adj = g.vertices, g._adj
     n = len(verts)

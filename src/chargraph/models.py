@@ -17,7 +17,7 @@ from functools import lru_cache, reduce
 from typing import Union
 
 from .errors import BadParameter, ModelError, VertexClash
-from .graphs import PrimeGraph, complement, is_bipartite, isomorphic_small, join, max_clique
+from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, isomorphic_small, join
 from .numtheory import PrimePower, as_prime_power, prime_divisors
 
 SOLVABLE_LABELS = ("Type1", "Type4", "C4Product", "Abelian")
@@ -101,7 +101,7 @@ class AbstractSolvable:
         if not is_bipartite(complement(self.graph)).is_bipartite:
             raise ModelError("a solvable model's graph must have bipartite complement")
         if self.graph.order >= 4:
-            has_triangle = len(max_clique(self.graph)) >= 3
+            has_triangle = not is_kn_free(self.graph, 3).is_free
             if not has_triangle and not isomorphic_small(self.graph, _C4_REFERENCE):
                 raise ModelError("a solvable graph on 4+ vertices contains a triangle or is a 4-cycle")
 

@@ -162,6 +162,8 @@ def test_max_clique_cap():
     many = [p for p in range(2, 400) if all(p % d for d in range(2, p))][:65]
     with pytest.raises(TooLarge):
         max_clique(PrimeGraph(many))
+    with pytest.raises(TooLarge, match="clique search is capped at 64 vertices, got 65"):
+        is_kn_free(PrimeGraph(many), 3)
 
 
 def test_is_kn_free():
@@ -172,6 +174,19 @@ def test_is_kn_free():
     assert not free and witness == (2, 3, 5, 7)
     with pytest.raises(BadParameter):
         is_kn_free(triangle, 1)
+    assert is_kn_free(PrimeGraph(()), 2) == (True, None)
+
+
+def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():
+    # complete multipartite graphs: ascending greedy coloring gives each part
+    # one color, so with n - 1 parts every root branch is cut by the bound
+    k222 = join(join(PrimeGraph((2, 3)), PrimeGraph((5, 7))), PrimeGraph((11, 13)))
+    assert is_kn_free(k222, 4) == (True, None)
+    assert is_kn_free(k222, 3) == (False, max_clique(k222)) == (False, (2, 5, 11))
+    primes = [p for p in range(2, 400) if all(p % d for d in range(2, p))][:64]
+    k32_32 = join(PrimeGraph(primes[::2]), PrimeGraph(primes[1::2]))
+    assert is_kn_free(k32_32, 3) == (True, None)
+    assert is_kn_free(k32_32, 2) == (False, (2, 3))
 
 
 def test_suzuki_8_clique_structure():
@@ -197,6 +212,16 @@ def test_odd_cycle_rejects_even_target():
         longest_odd_cycle_at_least(C5, 4)
     with pytest.raises(BadParameter):
         longest_odd_cycle_at_least(C5, 1)
+
+
+def test_odd_cycle_target_above_the_order():
+    assert longest_odd_cycle_at_least(C5, 7) is None
+    # the cap and the parity check still come before the order check
+    with pytest.raises(BadParameter):
+        longest_odd_cycle_at_least(C5, 8)
+    many = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:26]
+    with pytest.raises(TooLarge):
+        longest_odd_cycle_at_least(PrimeGraph(many), 27)
 
 
 def test_odd_cycle_witness_validates():
@@ -369,7 +394,10 @@ def test_isomorphic_small_cap():
 def test_searches_match_oracles_on_sampled_6_vertex_graphs(mask):
     edges = [PAIRS6[i] for i in range(15) if mask >> i & 1]
     g = PrimeGraph(PRIMES6, edges)
-    assert max_clique(g) == brute_max_clique(PRIMES6, edges)
+    brute = brute_max_clique(PRIMES6, edges)
+    assert max_clique(g) == brute
+    for n in range(2, 8):
+        assert is_kn_free(g, n) == ((True, None) if len(brute) < n else (False, brute[:n]))
     assert is_bipartite(g).is_bipartite == brute_is_bipartite(PRIMES6, edges)
     for target in (3, 5):
         found = longest_odd_cycle_at_least(g, target)
