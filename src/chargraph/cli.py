@@ -8,6 +8,7 @@ Exit codes: 0 success (and every verification PASS), 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -24,7 +25,7 @@ from .exactness import (
 )
 from .graphs import PrimeGraph, connected_components
 from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
-from .search import ALPHA_CAP, sweep_models
+from .search import ALPHA_CAP, find_alphas, sweep_models
 
 DEFAULT_SUITE_NS = (4, 5, 6, 7)
 
@@ -84,15 +85,6 @@ def _report_to_dict(report: ExactnessReport) -> dict[str, Any]:
         "odd_cycle": list(report.odd_cycle.vertices_in_order) if report.odd_cycle else None,
         "verdict": report.verdict,
         "extremal_class": report.extremal_class,
-    }
-
-
-def _record_to_dict(record: VerificationRecord) -> dict[str, Any]:
-    return {
-        "check": record.check,
-        "description": record.description,
-        "passed": record.passed,
-        "details": record.details,
     }
 
 
@@ -173,8 +165,6 @@ def _alpha_range(alpha_max: int) -> tuple[int, int]:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from .search import find_alphas
-
     k_target = {"n-3": args.n - 3, "n-2": args.n - 2, "n-1": args.n - 1}[args.k]
     result = find_alphas(args.n, k_target, _alpha_range(args.alpha_max))
     payload = {
@@ -213,7 +203,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     payload = {
         "n_values": ns,
         "alpha_range": [2, args.alpha_max],
-        "records": [_record_to_dict(r) for r in records],
+        "records": [dataclasses.asdict(r) for r in records],
         "failures": len(failures),
         "passed": not failures,
     }

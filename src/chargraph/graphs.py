@@ -8,6 +8,9 @@ validates its input (prime vertices, no loops, known endpoints);
 complement, induced_subgraph and join derive their masks from graphs that
 already passed it, so they skip that validation.
 
+One pruned depth-first cycle search serves both cycle questions: an odd
+cycle of length at least a target, and a cycle through every vertex.
+
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
 certificates.
@@ -315,6 +318,31 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
     order (ascending start vertex, ascending neighbor), or None.
 
     min_length must be an odd integer >= 3; even values are a caller error.
+    """
+    if g.order > MAX_CYCLE_VERTICES:
+        raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
+    if min_length < 3 or min_length % 2 == 0:
+        raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
+    if min_length > g.order or is_bipartite(g).is_bipartite:
+        return None
+    return _first_cycle(g, min_length)
+
+
+def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
+    """Exact Hamiltonian-cycle search: the first cycle through all vertices
+    in canonical search order, so it starts at the least vertex."""
+    if g.order > MAX_HAMILTON_VERTICES:
+        raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {g.order}")
+    if g.order < 3:
+        return HamiltonResult(False, None)
+    cycle = _first_cycle(g, g.order)
+    return HamiltonResult(cycle is not None, cycle)
+
+
+def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
+    """First simple cycle of length >= min_length and of the same parity as
+    min_length, in canonical search order (ascending least vertex, then
+    ascending neighbor), or None.
 
     The depth-first search cuts a subtree only when it holds no qualifying
     cycle, or when a subtree searched before it holds one, so the returned
@@ -326,20 +354,17 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
     - twins: vertices whose neighborhoods agree apart from each other are
       swapped by an automorphism, so a neighbor is skipped while a lower twin
       of it is free, and a start with a lower twin is skipped.
+    At min_length = order only start 0 is tried, and the first two rules cut
+    exactly when some unvisited vertex is cut off from the path's end or has
+    fewer than two usable neighbors.
     """
-    if g.order > MAX_CYCLE_VERTICES:
-        raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
-    if min_length < 3 or min_length % 2 == 0:
-        raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
-    if min_length > g.order or is_bipartite(g).is_bipartite:
-        return None
     verts, adj = g.vertices, g._adj
     n = len(verts)
     twins_below = _twins_below(adj)
     path: list[int] = []
 
     def dfs(start: int, v: int, visited: int, allowed: int, length: int) -> bool:
-        if length >= min_length and length % 2 == 1 and (adj[v] >> start) & 1:
+        if length >= min_length and (length - min_length) % 2 == 0 and (adj[v] >> start) & 1:
             return True
         free = allowed & ~visited
         reach = _reach(adj, v, free)
@@ -373,54 +398,6 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         if dfs(s, s, 1 << s, allowed, 1):
             return CycleWitness(tuple(verts[i] for i in path))
     return None
-
-
-def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
-    """Exact Hamiltonian-cycle search from the least vertex, ascending
-    neighbor first.
-
-    A subtree is cut when some unvisited vertex is cut off from the path's
-    end or has fewer than two usable neighbors, and a neighbor is skipped
-    while a lower twin of it is unvisited (see longest_odd_cycle_at_least);
-    neither rule changes the returned cycle.
-    """
-    n = g.order
-    if n > MAX_HAMILTON_VERTICES:
-        raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {n}")
-    if n < 3:
-        return HamiltonResult(False, None)
-    verts, adj = g.vertices, g._adj
-    if any(a.bit_count() < 2 for a in adj):
-        return HamiltonResult(False, None)
-    full = (1 << n) - 1
-    twins_below = _twins_below(adj)
-    path = [0]
-
-    def dfs(v: int, visited: int) -> bool:
-        if visited == full:
-            return bool(adj[v] & 1)
-        rem = full & ~visited
-        if _reach(adj, v, rem) != rem:
-            return False
-        avail = rem | (1 << v) | 1
-        for u in _bits(rem):
-            if (adj[u] & avail).bit_count() < 2:
-                return False
-        cand = adj[v] & rem
-        while cand:
-            w = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if twins_below[w] & rem:
-                continue
-            path.append(w)
-            if dfs(w, visited | (1 << w)):
-                return True
-            path.pop()
-        return False
-
-    if dfs(0, 1):
-        return HamiltonResult(True, CycleWitness(tuple(verts[i] for i in path)))
-    return HamiltonResult(False, None)
 
 
 def _reach(adj: tuple[int, ...], seed: int, within: int) -> int:

@@ -95,11 +95,12 @@ def brute_components(vertices, edges) -> list[tuple[int, ...]]:
     return sorted(tuple(sorted(block)) for block in blocks)
 
 
-def brute_is_hamiltonian(vertices, edges) -> bool:
-    """Fix the first vertex, try every ordering of the rest."""
+def brute_first_hamilton_cycle(vertices, edges) -> tuple[int, ...] | None:
+    """Fix the first vertex, try every ordering of the rest in lexicographic
+    order; the first closed one, or None."""
     verts = sorted(vertices)
     if len(verts) < 3:
-        return False
+        return None
     edge_set = {tuple(sorted(e)) for e in edges}
     first = verts[0]
     for perm in itertools.permutations(verts[1:]):
@@ -108,8 +109,8 @@ def brute_is_hamiltonian(vertices, edges) -> bool:
             tuple(sorted((cycle[i], cycle[(i + 1) % len(cycle)]))) in edge_set
             for i in range(len(cycle))
         ):
-            return True
-    return False
+            return cycle
+    return None
 
 
 def brute_first_odd_cycle(vertices, edges, min_length: int) -> tuple[int, ...] | None:

@@ -23,9 +23,9 @@ from chargraph.graphs import (
 
 from oracles import (
     brute_components,
+    brute_first_hamilton_cycle,
     brute_first_odd_cycle,
     brute_is_bipartite,
-    brute_is_hamiltonian,
     brute_max_clique,
     brute_odd_cycle_exists,
 )
@@ -270,6 +270,11 @@ def test_hamilton_basics():
     p3 = PrimeGraph((2, 3, 5), [(2, 3), (3, 5)])
     assert not is_hamiltonian(p3).is_hamiltonian
     assert not is_hamiltonian(PrimeGraph((2, 3), [(2, 3)])).is_hamiltonian
+    assert is_hamiltonian(PrimeGraph(())) == (False, None)
+    assert is_hamiltonian(PrimeGraph((2,))) == (False, None)
+    # bipartite of even order: no odd cycle, yet Hamiltonian
+    ok, cycle = is_hamiltonian(C4)
+    assert ok and cycle.vertices_in_order == (2, 3, 5, 7)
 
 
 def test_hamilton_psl2_64_complement():
@@ -285,9 +290,10 @@ def test_hamilton_matches_oracle_on_5_vertices():
     for mask in range(2**10):
         edges = [pairs[i] for i in range(10) if mask >> i & 1]
         g = PrimeGraph(primes, edges)
-        expected = brute_is_hamiltonian(primes, edges)
+        expected = brute_first_hamilton_cycle(primes, edges)
         got, cycle = is_hamiltonian(g)
-        assert got == expected, mask
+        assert got == (expected is not None), mask
+        assert (cycle and cycle.vertices_in_order) == expected, mask
         if got:
             assert cycle.validates_in(g) and cycle.length == 5
 
@@ -353,7 +359,9 @@ def test_odd_cycle_and_hamilton_witnesses_match_oracles_on_twin_rich_graphs():
         assert (found is not None) == brute_odd_cycle_exists(verts, edges, target), g
         assert (found and found.vertices_in_order) == first, g
         ok, cycle = is_hamiltonian(g)
-        assert ok == brute_is_hamiltonian(verts, edges), g
+        expected = brute_first_hamilton_cycle(verts, edges)
+        assert ok == (expected is not None), g
+        assert (cycle and cycle.vertices_in_order) == expected, g
         if ok:
             assert cycle.validates_in(g) and cycle.length == g.order
         if g.order % 2:
