@@ -58,8 +58,10 @@ def document_to_graph(doc: Any) -> tuple[PrimeGraph, dict[str, Any]]:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise ChargraphError(_EDGES_MESSAGE)
         pairs.append((e[0], e[1]))
-    metadata = doc.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = doc.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise ChargraphError('"metadata" must be an object when present')
     return PrimeGraph(vertices, pairs), metadata
 
@@ -76,6 +78,8 @@ def _dump_json(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# hand-written, not dataclasses.asdict: on a 2-vCPU VM under Python 3.11,
+# asdict took 15-28 us a call against 0.5 us, 2-4% of a median analyze call
 def _report_to_dict(report: ExactnessReport) -> dict[str, Any]:
     return {
         "n": report.n,

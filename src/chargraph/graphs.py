@@ -8,8 +8,10 @@ validates its input (prime vertices, no loops, known endpoints);
 complement, induced_subgraph and join derive their masks from graphs that
 already passed it, so they skip that validation.
 
-One pruned depth-first cycle search serves both cycle questions: an odd
-cycle of length at least a target, and a cycle through every vertex.
+One clique search in lexicographic order, with no second pass, gives the
+least maximum clique, and bounded from below it decides K_n-freeness.  One
+pruned depth-first cycle search serves both cycle questions: an odd cycle
+of length at least a target, and a cycle through every vertex.
 
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
@@ -198,75 +200,51 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _clique_number(adj: tuple[int, ...], full: int, floor: int) -> int:
-    """max(clique number, floor) by branch and bound with a greedy coloring
-    bound.  The search starts with floor as its best size; the bound never
-    cuts a clique larger than the best so far, so a clique above floor is
-    still found and the result is then the clique number itself."""
-    best = floor
+def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
+    """max_clique(g) when it has more than floor vertices, else ().
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    One branch and bound, in lexicographic order.  At each node the
+    candidates are greedy-colored from the highest vertex down, so the
+    classes in use once v is colored bound the clique that v and the
+    candidates above it can add.  Candidates branch in ascending order, and
+    the node returns at the first v whose bound cannot beat the best size,
+    since the bound only shrinks as v grows.  The search starts with floor
+    as its best size and meets cliques in lexicographic order; a prefix of
+    the least maximum clique K is cut only when an earlier clique already
+    has K's size, and none has, so the first maximum clique recorded is K.
+    """
+    if g.order > MAX_CLIQUE_VERTICES:
+        raise TooLarge(f"clique search is capped at {MAX_CLIQUE_VERTICES} vertices, got {g.order}")
+    adj = g._adj
+    best, best_mask = floor, 0
+
+    def expand(size: int, chosen: int, cand: int) -> None:
+        nonlocal best, best_mask
         if cand == 0:
             if size > best:
-                best = size
+                best, best_mask = size, chosen
             return
-        # greedy-color the candidates in ascending order; the color index
-        # bounds the clique size reachable through each vertex
         classes: list[int] = []
-        order: list[tuple[int, int]] = []
-        for v in _bits(cand):
+        colored: list[tuple[int, int]] = []  # (vertex, bound), highest vertex first
+        rest = cand
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
             for c, cls in enumerate(classes):
-                if not (adj[v] & cls):
+                if not adj[v] & cls:
                     classes[c] |= 1 << v
-                    order.append((c + 1, v))
                     break
             else:
                 classes.append(1 << v)
-                order.append((len(classes), v))
-        order.sort()
-        while order:
-            color, v = order.pop()
-            if size + color <= best:
+            colored.append((v, len(classes)))
+        for v, bound in reversed(colored):
+            if size + bound <= best:
                 return
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+            cand ^= 1 << v
+            expand(size + 1, chosen | 1 << v, cand & adj[v])
 
-    expand(0, full)
-    return best
-
-
-def _lex_clique_of_size(adj: tuple[int, ...], n: int, k: int) -> int:
-    """Bitmask of the lexicographically least clique of size k (must exist)."""
-
-    def extend(chosen: int, cand: int, need: int) -> int | None:
-        if need == 0:
-            return chosen
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            nxt = cand & adj[v]
-            if nxt.bit_count() >= need - 1:
-                found = extend(chosen | (1 << v), nxt, need - 1)
-                if found is not None:
-                    return found
-        return None
-
-    result = extend(0, (1 << n) - 1, k)
-    assert result is not None
-    return result
-
-
-def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
-    """max_clique(g) when it has more than floor vertices, else ()."""
-    if g.order > MAX_CLIQUE_VERTICES:
-        raise TooLarge(f"clique search is capped at {MAX_CLIQUE_VERTICES} vertices, got {g.order}")
-    verts, adj = g.vertices, g._adj
-    omega = _clique_number(adj, (1 << len(verts)) - 1, floor)
-    if omega <= floor:
-        return ()
-    mask = _lex_clique_of_size(adj, len(verts), omega)
-    return tuple(verts[i] for i in _bits(mask))
+    expand(0, 0, (1 << g.order) - 1)
+    return tuple(g.vertices[i] for i in _bits(best_mask))
 
 
 def max_clique(g: PrimeGraph) -> tuple[int, ...]:

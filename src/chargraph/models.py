@@ -17,13 +17,11 @@ from functools import lru_cache, reduce
 from typing import Union
 
 from .errors import BadParameter, ModelError, VertexClash
-from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, isomorphic_small, join
+from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, join
 from .numtheory import PrimePower, as_prime_power, prime_divisors
 
 SOLVABLE_LABELS = ("Type1", "Type4", "C4Product", "Abelian")
 DISCONNECTED_LABELS = ("Type1", "Type4")
-
-_C4_REFERENCE = PrimeGraph((2, 3, 5, 7), [(2, 3), (3, 5), (5, 7), (2, 7)])
 
 
 @dataclass(frozen=True)
@@ -96,13 +94,15 @@ class AbstractSolvable:
             raise ModelError("an abelian model has no degree primes")
         if self.label in DISCONNECTED_LABELS and (len(rho) != 2 or self.graph.size != 0):
             raise ModelError(f"{self.label} needs exactly two nonadjacent degree primes")
-        if self.label == "C4Product" and not (self.graph.order == 4 and isomorphic_small(self.graph, _C4_REFERENCE)):
+        # the only 2-regular graph on four vertices is the 4-cycle
+        is_c4 = self.graph.order == 4 and all(len(self.graph.neighbors(v)) == 2 for v in rho)
+        if self.label == "C4Product" and not is_c4:
             raise ModelError("C4Product needs a 4-cycle graph")
         if not is_bipartite(complement(self.graph)).is_bipartite:
             raise ModelError("a solvable model's graph must have bipartite complement")
         if self.graph.order >= 4:
             has_triangle = not is_kn_free(self.graph, 3).is_free
-            if not has_triangle and not isomorphic_small(self.graph, _C4_REFERENCE):
+            if not has_triangle and not is_c4:
                 raise ModelError("a solvable graph on 4+ vertices contains a triangle or is a 4-cycle")
 
 

@@ -34,6 +34,7 @@ def test_json_round_trip_for_generated_graphs():
 def test_document_validation():
     vertices_message = '"vertices" must be a list of integers'
     edges_message = '"edges" must be a list of 2-element integer lists'
+    metadata_message = '"metadata" must be an object when present'
     cases = [
         ([], "graph document must be a JSON object"),
         ({"vertices": "nope"}, vertices_message),
@@ -45,7 +46,12 @@ def test_document_validation():
         ({"vertices": [2, 3], "edges": [2, 3]}, edges_message),
         ({"vertices": [2, 3], "edges": [[2, 3], [False, 3]]}, edges_message),
         ({"vertices": [2, 3], "edges": [[2, True]]}, edges_message),
-        ({"vertices": [2, 3], "metadata": [1]}, '"metadata" must be an object when present'),
+        ({"vertices": [2, 3], "metadata": [1]}, metadata_message),
+        # falsy non-objects are refused too, not read as absent metadata
+        ({"vertices": [2, 3], "metadata": []}, metadata_message),
+        ({"vertices": [2, 3], "metadata": ""}, metadata_message),
+        ({"vertices": [2, 3], "metadata": 0}, metadata_message),
+        ({"vertices": [2, 3], "metadata": False}, metadata_message),
     ]
     for doc, message in cases:
         with pytest.raises(ChargraphError) as info:

@@ -178,8 +178,8 @@ def test_is_kn_free():
 
 
 def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():
-    # complete multipartite graphs: ascending greedy coloring gives each part
-    # one color, so with n - 1 parts every root branch is cut by the bound
+    # complete multipartite graphs: greedy coloring in any order gives each
+    # part one color, so with n - 1 parts every root branch is cut by the bound
     k222 = join(join(PrimeGraph((2, 3)), PrimeGraph((5, 7))), PrimeGraph((11, 13)))
     assert is_kn_free(k222, 4) == (True, None)
     assert is_kn_free(k222, 3) == (False, max_clique(k222)) == (False, (2, 5, 11))
@@ -187,6 +187,36 @@ def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():
     k32_32 = join(PrimeGraph(primes[::2]), PrimeGraph(primes[1::2]))
     assert is_kn_free(k32_32, 3) == (True, None)
     assert is_kn_free(k32_32, 2) == (False, (2, 3))
+
+
+PRIMES12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def blowup(rng, verts):
+    """A random graph on a few classes with each class blown up to an
+    independent set spread over the vertex order, so maximum cliques tie."""
+    cls = {v: rng.randrange(len(verts) // 2) for v in verts}
+    base = {pair for pair in itertools.combinations(range(len(verts) // 2), 2) if rng.random() < 0.7}
+    return PrimeGraph(verts, [(a, b) for a, b in itertools.combinations(verts, 2) if tuple(sorted((cls[a], cls[b]))) in base])
+
+
+def test_clique_witnesses_match_oracle_on_random_and_blowup_graphs():
+    rng = random.Random(11)
+    ties = 0
+    for family in (random_graph, blowup):
+        for _ in range(40):
+            g = family(rng, tuple(sorted(rng.sample(PRIMES12, rng.randint(7, 12)))))
+            edges = g.sorted_edges()
+            brute = brute_max_clique(g.vertices, edges)
+            assert max_clique(g) == brute, g
+            for n in range(2, g.order + 2):
+                assert is_kn_free(g, n) == ((True, None) if len(brute) < n else (False, brute[:n])), (g, n)
+            edge_set = set(edges)
+            ties += sum(
+                all(e in edge_set for e in itertools.combinations(c, 2))
+                for c in itertools.combinations(g.vertices, len(brute))
+            ) > 1
+    assert ties >= 40  # the witness order is exercised, not just the size
 
 
 def test_suzuki_8_clique_structure():
