@@ -53,17 +53,15 @@ def document_to_graph(doc: Any) -> tuple[PrimeGraph, dict[str, Any]]:
         raise ChargraphError('"vertices" must be a list of integers')
     if not isinstance(edges, list):
         raise ChargraphError(_EDGES_MESSAGE)
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise ChargraphError(_EDGES_MESSAGE)
-        pairs.append((e[0], e[1]))
     metadata = doc.get("metadata")
     if metadata is None:
         metadata = {}
     elif not isinstance(metadata, dict):
         raise ChargraphError('"metadata" must be an object when present')
-    return PrimeGraph(vertices, pairs), metadata
+    return PrimeGraph(vertices, edges), metadata
 
 
 def graph_to_dot(g: PrimeGraph) -> str:
@@ -298,10 +296,7 @@ def run(argv=None) -> int:
     except (OutOfRange, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ChargraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ChargraphError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

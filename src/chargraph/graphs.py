@@ -11,7 +11,9 @@ already passed it, so they skip that validation.
 One clique search in lexicographic order, with no second pass, gives the
 least maximum clique, and bounded from below it decides K_n-freeness.  One
 pruned depth-first cycle search serves both cycle questions: an odd cycle
-of length at least a target, and a cycle through every vertex.
+of length at least a target, and a cycle through every vertex.  Components
+reuse that search's reachability walk, and bipartiteness is one
+breadth-first walk that stops at the first conflict.
 
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
@@ -268,15 +270,23 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
 
 
 def is_bipartite(g: PrimeGraph) -> BipartiteResult:
-    """2-colorability with certificate: the parts, or an odd cycle."""
+    """2-colorability with certificate: the parts, or an odd cycle.
+
+    One breadth-first walk per component checks each vertex for a
+    same-colored neighbor as it visits it.  The check is final: such a
+    neighbor lies in the vertex's own layer, all discovered before the
+    layer's first visit.
+    """
     verts, adj = g.vertices, g._adj
-    odd = 0  # vertices colored 1: odd depth in their breadth-first tree
-    for parent in _bfs_forest(adj):
-        for w, v in parent.items():
-            if v is not None and not odd >> v & 1:
-                odd |= 1 << w
-        for v in parent:
-            same = adj[v] & (odd if odd >> v & 1 else ~odd)
+    parent = [0] * len(verts)
+    seen = odd = 0  # odd: vertices colored 1, at odd depth in their tree
+    for seed in range(len(verts)):
+        if seen >> seed & 1:
+            continue
+        seen |= 1 << seed
+        queue = [seed]
+        for v in queue:  # the loop also visits what it appends
+            same = adj[v] & seen & (odd if odd >> v & 1 else ~odd)
             if same:
                 # odd cycle: v up to the lowest common ancestor of v and w,
                 # then down to w; equal colors mean equal depths, so walking
@@ -286,7 +296,14 @@ def is_bipartite(g: PrimeGraph) -> BipartiteResult:
                     up.append(parent[up[-1]])
                     down.append(parent[down[-1]])
                 return BipartiteResult(False, None, CycleWitness(tuple(verts[i] for i in up + down[-2::-1])))
-    part0 = tuple(verts[i] for i in _bits((1 << len(verts)) - 1 & ~odd))
+            new = adj[v] & ~seen
+            seen |= new
+            if not odd >> v & 1:
+                odd |= new
+            for w in _bits(new):
+                parent[w] = v
+                queue.append(w)
+    part0 = tuple(verts[i] for i in _bits(seen & ~odd))
     part1 = tuple(verts[i] for i in _bits(odd))
     return BipartiteResult(True, (part0, part1), None)
 
@@ -410,34 +427,16 @@ def _twins_below(adj: tuple[int, ...]) -> list[int]:
     return below
 
 
-def _bfs_tree(adj: tuple[int, ...], mask: int, seed: int) -> dict[int, int | None]:
-    """Breadth-first tree over the vertices of mask reachable from seed
-    inside mask: vertex -> parent (None for seed), in visiting order.  Each
-    vertex queues its undiscovered neighbors in ascending order."""
-    parent: dict[int, int | None] = {seed: None}
-    queue = [seed]
-    seen = 1 << seed
-    for v in queue:  # the loop also visits what it appends
-        new = adj[v] & mask & ~seen
-        seen |= new
-        for w in _bits(new):
-            parent[w] = v
-            queue.append(w)
-    return parent
-
-
-def _bfs_forest(adj: tuple[int, ...]):
-    """Breadth-first trees of the components, in order of least vertex."""
-    rest = (1 << len(adj)) - 1
-    while rest:
-        tree = _bfs_tree(adj, rest, (rest & -rest).bit_length() - 1)
-        yield tree
-        rest &= ~sum(1 << i for i in tree)
-
-
 def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, ordered by least element."""
-    return [tuple(g.vertices[i] for i in sorted(tree)) for tree in _bfs_forest(g._adj)]
+    adj, rest = g._adj, (1 << g.order) - 1
+    components = []
+    while rest:
+        seed = (rest & -rest).bit_length() - 1
+        component = _reach(adj, seed, rest & ~(1 << seed)) | 1 << seed
+        components.append(tuple(g.vertices[i] for i in _bits(component)))
+        rest &= ~component
+    return components
 
 
 def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:

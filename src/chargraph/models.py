@@ -208,8 +208,7 @@ def suzuki_graph(m: int) -> PrimeGraph:
     """Character graph of the Suzuki group with q^2 = 2^(2m+1): every odd
     vertex is adjacent to every other odd vertex, and 2 is adjacent exactly
     to the primes dividing q^2 - 1."""
-    if m < 1:
-        raise BadParameter(f"Suzuki needs m >= 1, got {m}")
+    Suzuki(m)  # validates m
     q2 = 2 ** (2 * m + 1)
     pi_small = prime_divisors(q2 - 1)
     pi_large = prime_divisors(q2 * q2 + 1)

@@ -171,19 +171,16 @@ def factorize(n: int) -> tuple[int, ...]:
         while m % p == 0:
             out.append(p)
             m //= p
-    if m > 1:
-        if m <= _SMALL_PRIMES[-1] ** 2 or is_prime(m):
-            out.append(m)
-        else:
-            stack = [m]
-            while stack:
-                v = stack.pop()
-                if is_prime(v):
-                    out.append(v)
-                    continue
-                d = _brent_rho(v)
-                stack.append(d)
-                stack.append(v // d)
+    stack = [m] if m > 1 else []
+    while stack:
+        v = stack.pop()
+        # no prime of the table divides v, so v below the square of the last is prime
+        if v <= _SMALL_PRIMES[-1] ** 2 or is_prime(v):
+            out.append(v)
+            continue
+        d = _brent_rho(v)
+        stack.append(d)
+        stack.append(v // d)
     out.sort()
     return tuple(out)
 

@@ -214,8 +214,13 @@ def test_size_cap_exits_3(tmp_path, capsys):
     assert code == 3 and "capped" in err
 
 
-def test_missing_input_exits_2(capsys):
-    assert invoke(capsys, "--quiet", "analyze", "--n", "5", "--input", "/nonexistent.json")[0] == 2
+def test_missing_input_exits_2(capsys, tmp_path):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"vertices": [2, 3')
+    for path in ("/nonexistent.json", str(bad_json)):
+        code, out, err = invoke(capsys, "--quiet", "analyze", "--n", "5", "--input", path)
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: .+\n", err), err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

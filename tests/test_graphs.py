@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -284,6 +285,17 @@ def test_bipartite_parts_are_proper():
             assert result.odd_cycle.validates_in(g)
 
 
+def test_bipartite_certificates_match_the_recorded_digest():
+    # parts and odd-cycle witnesses of every graph on six labelled vertices,
+    # so a change of visiting order or of the parent walk shows here
+    lines = []
+    for mask in range(2**15):
+        r = is_bipartite(graph_from_mask(mask))
+        lines.append(repr((r.parts, r.odd_cycle.vertices_in_order if r.odd_cycle else None)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "80b2e7bd1d11fbc186d0eac8cb5d5e07763d249ccae7f56972bd60f8769c0ef5"
+
+
 def test_bipartite_iff_no_odd_cycle():
     for mask in range(0, 2**15, 257):
         g = graph_from_mask(mask)
@@ -337,6 +349,7 @@ def test_hamilton_cap():
 # --- pruned searches on twin-rich graphs near the Hamilton regime ---
 
 PRIMES9 = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+PRIMES22 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79)
 
 
 def multipartite(rng, verts):
@@ -408,6 +421,12 @@ def test_connected_components_spec_values():
     from chargraph.models import psl2_graph
 
     assert connected_components(psl2_graph(64)) == [(2,), (3, 7), (5, 13)]
+    # sparse graphs: isolated vertices and many components
+    rng = random.Random(8)
+    for _ in range(60):
+        verts = rng.sample(PRIMES22, rng.randint(10, 22))
+        g = PrimeGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < 0.08])
+        assert connected_components(g) == brute_components(g.vertices, g.sorted_edges()), g
 
 
 def test_isomorphic_small_spec_values():

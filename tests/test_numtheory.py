@@ -33,6 +33,17 @@ def test_factorize_range_errors():
     assert math.prod(factorize(FACTOR_LIMIT - 1)) == FACTOR_LIMIT - 1
 
 
+def test_factorize_cofactor_boundary():
+    # a cofactor below the square of the largest table prime (9973) is taken
+    # as prime without a test; these sit on both sides of that bound
+    assert factorize(9973**2) == (9973, 9973)
+    assert factorize(10007**2) == (10007, 10007)
+    assert factorize(10007 * 10009) == (10007, 10009)
+    assert factorize(10007**3) == (10007, 10007, 10007)
+    assert factorize(2**31 - 1) == (2**31 - 1,)
+    assert factorize((2**31 - 1) * (2**61 - 1)) == (2**31 - 1, 2**61 - 1)
+
+
 def test_factorize_matches_oracle_small():
     for n in range(2, 2000):
         assert list(factorize(n)) == brute_factorize(n)
