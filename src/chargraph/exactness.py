@@ -169,6 +169,15 @@ def _order_bound_record(name: str, report: ExactnessReport, **extra: Any) -> Ver
     )
 
 
+# (k - n, number of Type1/Type4 pairs) -> catalog case
+_CASE_OF_SHAPE = {
+    (-3, 0): CASE_MIN_ABELIAN,
+    (-3, 2): CASE_MAX_TWO_PAIRS,
+    (-2, 1): CASE_MAX_ONE_PAIR,
+    (-1, 0): CASE_MAX_ABELIAN,
+}
+
+
 def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """Match a product model against the extremal catalog.
 
@@ -184,25 +193,6 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """
     if n < 4:
         raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
-    case, alpha, k, expected_order = _catalog_case(model, n)
-    if expected_order is None:
-        return ExtremalCase(case, alpha, k, None, None, None)
-    report = check_n_exact(model_graph(model), n, character_model=True)
-    return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
-
-
-# (k - n, number of Type1/Type4 pairs) -> catalog case
-_CASE_OF_SHAPE = {
-    (-3, 0): CASE_MIN_ABELIAN,
-    (-3, 2): CASE_MAX_TWO_PAIRS,
-    (-2, 1): CASE_MAX_ONE_PAIR,
-    (-1, 0): CASE_MAX_ABELIAN,
-}
-
-
-def _catalog_case(model: CharModel, n: int) -> tuple[str, int, int, int | None]:
-    """(case, alpha, k, expected order) of a product model, as documented in
-    classify_extremal_case; the expected order is None when not covered."""
     if not isinstance(model, Product):
         raise ShapeMismatch("expected a product model")
     psl2_factors = [f for f in model.factors if isinstance(f, PSL2)]
@@ -222,8 +212,8 @@ def _catalog_case(model: CharModel, n: int) -> tuple[str, int, int, int | None]:
             f"|pi(2^{alpha} - 1)| = {k_minus} differs from |pi(2^{alpha} + 1)| = {k_plus}"
         )
     k = k_minus
-    if k not in (n - 3, n - 2, n - 1):
-        return CASE_NOT_COVERED, alpha, k, None
+    if all(k - n != offset for offset, _ in _CASE_OF_SHAPE):
+        return ExtremalCase(CASE_NOT_COVERED, alpha, k, None, None, None)
     pairs = [f for f in rest if f.label in DISCONNECTED_LABELS]
     nontrivial = [f for f in rest if f.label not in DISCONNECTED_LABELS and f.label != "Abelian"]
     if nontrivial:
@@ -233,7 +223,48 @@ def _catalog_case(model: CharModel, n: int) -> tuple[str, int, int, int | None]:
         raise ShapeMismatch(
             f"{len(pairs)} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
         )
-    return case, alpha, k, (2 * n - 5 if case == CASE_MIN_ABELIAN else 2 * n - 1)
+    expected_order = 2 * n - 5 if case == CASE_MIN_ABELIAN else 2 * n - 1
+    report = check_n_exact(model_graph(model), n, character_model=True)
+    return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
+
+
+def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRecord]:
+    """The records of one swept model: its extremal-case record when the
+    catalog covers it, then its order-bound record, whose details end with
+    the extra entries and the case.  Each model is decided once."""
+    name = describe_model(model)
+    try:
+        outcome = classify_extremal_case(model, n)
+    except AsymmetricPiSizes:
+        outcome, case = None, "asymmetric"
+    except ShapeMismatch:
+        outcome, case = None, "shape_mismatch"
+    else:
+        case = outcome.case
+    records = []
+    if outcome is None or outcome.report is None:
+        report = check_n_exact(model_graph(model), n, character_model=True)
+    else:
+        report = outcome.report
+        records.append(
+            VerificationRecord(
+                check="extremal_case",
+                description=f"{name}: case {case} at alpha = {outcome.alpha}, expected order {outcome.expected_order}",
+                passed=outcome.verified,
+                details={
+                    "model": name,
+                    "n": n,
+                    "alpha": outcome.alpha,
+                    "case": case,
+                    "k": outcome.k,
+                    "expected_order": outcome.expected_order,
+                    "order": report.order,
+                    "n_exact": report.verdict,
+                },
+            )
+        )
+    records.append(_order_bound_record(name, report, **extra, case=case))
+    return records
 
 
 # the exponents f of q = 2^f the Hamilton characterization is verified for

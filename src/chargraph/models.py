@@ -6,17 +6,18 @@ constructors (three complete components in even characteristic, and so on),
 cross-checked by a degree-set oracle.  Abstract solvable models carry an
 explicit graph validated against the solvable constraints: bipartite
 complement, and a triangle or a 4-cycle once there are at least four
-vertices.  Direct products take the join of their factors' graphs.
+vertices.  A direct product builds the join of its factors' graphs once, when
+it is constructed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Union
 
-from .errors import BadParameter, ModelError, VertexClash
+from .errors import BadParameter, ModelError
 from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, join
 from .numtheory import PrimePower, as_prime_power, prime_divisors
 
@@ -53,10 +54,10 @@ class PSL2:
     q: PrimePower
 
     def __post_init__(self) -> None:
-        q = _coerce_prime_power(self.q)
-        object.__setattr__(self, "q", q)
-        if q.value < 4:
-            raise BadParameter(f"PSL2 needs q >= 4, got {q.value}")
+        value = self.q.value if isinstance(self.q, PrimePower) else self.q
+        if value < 4:  # before factoring, which would refuse q < 2 as out of range
+            raise BadParameter(f"PSL2 needs q >= 4, got {value}")
+        object.__setattr__(self, "q", _coerce_prime_power(self.q))
 
 
 @dataclass(frozen=True)
@@ -108,22 +109,18 @@ class AbstractSolvable:
 
 @dataclass(frozen=True)
 class Product:
-    """Direct product of models with pairwise disjoint prime supports."""
+    """Direct product of models with pairwise disjoint prime supports; join
+    refuses overlapping supports (VertexClash) as it builds their graph."""
 
     factors: tuple[CharModel, ...]
+    graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         factors = tuple(self.factors)
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise BadParameter("a product needs at least one factor")
-        seen: set[int] = set()
-        for factor in factors:
-            support = set(model_support(factor))
-            clash = seen & support
-            if clash:
-                raise VertexClash(f"factor prime supports overlap on {sorted(clash)}")
-            seen |= support
+        object.__setattr__(self, "graph", reduce(join, map(model_graph, factors)))
 
 
 CharModel = Union[PSL2, Suzuki, AbstractSolvable, Product]
@@ -232,16 +229,14 @@ def psl2_degree_oracle(q: PrimePower | int) -> DegreeSet:
 
 
 def model_graph(model: CharModel) -> PrimeGraph:
-    """The character graph a model describes; products join their factors."""
+    """The character graph a model describes."""
     match model:
         case PSL2(q=q):
             return psl2_graph(q)
         case Suzuki(m=m):
             return suzuki_graph(m)
-        case AbstractSolvable(graph=graph):
+        case AbstractSolvable(graph=graph) | Product(graph=graph):
             return graph
-        case Product(factors=factors):
-            return reduce(join, (model_graph(f) for f in factors))
     raise BadParameter(f"not a model: {model!r}")
 
 

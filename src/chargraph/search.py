@@ -9,19 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AsymmetricPiSizes, BadParameter, OutOfRange, ShapeMismatch
-from .exactness import (
-    CASE_MAX_ABELIAN,
-    CASE_MAX_ONE_PAIR,
-    CASE_MAX_TWO_PAIRS,
-    CASE_MIN_ABELIAN,
-    CASE_NOT_COVERED,
-    VerificationRecord,
-    _catalog_case,
-    _order_bound_record,
-    check_n_exact,
-)
-from .models import PSL2, AbstractSolvable, Product, abelian, describe_model, disconnected_pair, model_graph
+from .errors import BadParameter, OutOfRange
+from .exactness import _CASE_OF_SHAPE, VerificationRecord, _sweep_records
+from .models import PSL2, AbstractSolvable, Product, abelian, disconnected_pair
 from .numtheory import PrimePower, is_prime, prime_divisors
 
 # 2^90 + 1 stays inside the factorization range, with headroom
@@ -63,10 +53,11 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
     """All alpha in the range whose two prime-divisor counts both equal k_target."""
     if n < 4:
         raise BadParameter(f"n must be at least 4, got {n}")
-    if k_target not in (n - 3, n - 2, n - 1):
+    # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
+    case = "/".join(c for (offset, _), c in _CASE_OF_SHAPE.items() if k_target - n == offset)
+    if not case:
         raise BadParameter(f"k target must be one of n-3, n-2, n-1, got {k_target}")
     lo, hi = _check_alpha_range(alpha_range)
-    case = {n - 3: f"{CASE_MIN_ABELIAN}/{CASE_MAX_TWO_PAIRS}", n - 2: CASE_MAX_ONE_PAIR, n - 1: CASE_MAX_ABELIAN}[k_target]
     realizations = []
     near_misses = []
     for alpha in range(lo, hi + 1):
@@ -114,9 +105,9 @@ def _solvable_factors(shape: str, exclude) -> list[AbstractSolvable]:
 
 def sweep_models(n: int, alpha_range: tuple[int, int], solvable_shapes=SOLVABLE_SHAPES) -> list[VerificationRecord]:
     """Build PSL2(2^alpha) x (solvable shape) for every alpha in the range and
-    every shape, verify the order bound on each, and classify each against the
-    extremal catalog.  Covered catalog cases are certificate-checked; a failed
-    certificate surfaces as its own FAIL record."""
+    every shape, classify each through classify_extremal_case and verify the
+    order bound on each, deciding each model once.  Covered catalog cases are
+    certificate-checked; a failed certificate surfaces as its own FAIL record."""
     if n < 4:
         raise BadParameter(f"n must be at least 4, got {n}")
     lo, hi = _check_alpha_range(alpha_range)
@@ -124,34 +115,6 @@ def sweep_models(n: int, alpha_range: tuple[int, int], solvable_shapes=SOLVABLE_
     for alpha in range(lo, hi + 1):
         exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}
         for shape in solvable_shapes:
-            factors = _solvable_factors(shape, exclude)
-            model = Product((PSL2(PrimePower(2, alpha)), *factors))
-            name = describe_model(model)
-            report = check_n_exact(model_graph(model), n, character_model=True)
-            try:
-                case, _, k, expected_order = _catalog_case(model, n)
-            except AsymmetricPiSizes:
-                case = "asymmetric"
-            except ShapeMismatch:
-                case = "shape_mismatch"
-            else:
-                if case != CASE_NOT_COVERED:
-                    records.append(
-                        VerificationRecord(
-                            check="extremal_case",
-                            description=f"{name}: case {case} at alpha = {alpha}, expected order {expected_order}",
-                            passed=report.verdict and report.order == expected_order,
-                            details={
-                                "model": name,
-                                "n": n,
-                                "alpha": alpha,
-                                "case": case,
-                                "k": k,
-                                "expected_order": expected_order,
-                                "order": report.order,
-                                "n_exact": report.verdict,
-                            },
-                        )
-                    )
-            records.append(_order_bound_record(name, report, alpha=alpha, shape=shape, case=case))
+            model = Product((PSL2(PrimePower(2, alpha)), *_solvable_factors(shape, exclude)))
+            records += _sweep_records(model, n, alpha=alpha, shape=shape)
     return records

@@ -191,6 +191,8 @@ def test_bad_parameter_exits_2(capsys):
     code, _, err = invoke(capsys, "--quiet", "psl2", "12")
     assert code == 2 and "not a prime power" in err
     assert invoke(capsys, "--quiet", "psl2", "3")[0] == 2
+    # refused before factoring, not as a factoring range error (exit 3)
+    assert invoke(capsys, "--quiet", "psl2", "1") == (2, "", "error: PSL2 needs q >= 4, got 1\n")
     assert invoke(capsys, "--quiet", "suzuki", "0")[0] == 2
 
 

@@ -82,8 +82,11 @@ def test_psl2_graph_q5_routes_through_q4():
 
 def test_psl2_graph_accepts_prime_power_or_int():
     assert psl2_graph(PrimePower(2, 6)) == psl2_graph(64)
-    with pytest.raises(BadParameter):
-        psl2_graph(3)
+    for q in (3, 1, 0, -4):
+        # refused before factoring, so a q below 2 is no OutOfRange
+        for build in (PSL2, psl2_graph, psl2_degree_oracle):
+            with pytest.raises(BadParameter, match=rf"^PSL2 needs q >= 4, got {q}$"):
+                build(q)
     with pytest.raises(BadParameter):
         psl2_graph(6)
 
@@ -246,6 +249,22 @@ def test_product_rejects_overlapping_supports():
         Product((PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 7, 11)))
     with pytest.raises(BadParameter):
         Product(())
+
+
+def test_product_stores_its_graph_outside_equality_and_repr():
+    factors = (PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17))
+    a, b = Product(factors), Product(factors)
+    assert a == b and hash(a) == hash(b)
+    assert a.graph is model_graph(a)
+    assert repr(a) == f"Product(factors={factors!r})"
+
+
+def test_nested_product_graph_and_overlap():
+    psl2, pair, other = PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17), disconnected_pair("Type4", 19, 23)
+    nested = Product((Product((psl2, pair)), other))
+    assert model_graph(nested) == model_graph(Product((psl2, pair, other)))
+    with pytest.raises(VertexClash, match=r"^vertex sets overlap on \[11, 17\]$"):
+        Product((Product((psl2, pair)), disconnected_pair("Type4", 11, 17)))
 
 
 def test_product_vertex_count_and_factor_complements():

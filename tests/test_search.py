@@ -32,10 +32,12 @@ def test_find_alphas_empty_range():
     result = find_alphas(5, 2, (9, 8))
     assert result.realizations == ()
     assert result.exhausted_range == (9, 8)
+    assert find_alphas(5, 4, (9, 8)).case == "b.iii"
 
 
 def test_find_alphas_every_realization_hits_target():
     result = find_alphas(5, 3, (2, 30))
+    assert result.case == "b.ii"
     assert [r.alpha for r in result.realizations][:2] == [14, 15]
     for r in result.realizations:
         assert len(r.pi_minus) == 3 and len(r.pi_plus) == 3
@@ -58,6 +60,8 @@ def test_find_alphas_validation():
         find_alphas(3, 1, (2, 8))
     with pytest.raises(BadParameter):
         find_alphas(5, 5, (2, 8))
+    with pytest.raises(BadParameter):
+        find_alphas(8, 4, (2, 8))
     with pytest.raises(OutOfRange):
         find_alphas(5, 2, (2, 91))
     with pytest.raises(OutOfRange):
