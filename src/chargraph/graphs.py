@@ -318,7 +318,7 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
     if min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
-    if min_length > g.order or is_bipartite(g).is_bipartite:
+    if min_length > g.order:
         return None
     return _first_cycle(g, min_length)
 
@@ -351,8 +351,12 @@ def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
       of it is free, and a start with a lower twin is skipped.
     At min_length = order only start 0 is tried, and the first two rules cut
     exactly when some unvisited vertex is cut off from the path's end or has
-    fewer than two usable neighbors.
+    fewer than two usable neighbors.  A bipartite graph is answered before
+    the search: its cycles are even, each at most twice its smaller part.
     """
+    bipartite = is_bipartite(g)
+    if bipartite.is_bipartite and (min_length % 2 or min_length > 2 * min(map(len, bipartite.parts))):
+        return None
     verts, adj = g.vertices, g._adj
     n = len(verts)
     twins_below = _twins_below(adj)

@@ -1,13 +1,14 @@
 """Character-graph constructors for the modeled group families.
 
 The graph of a degree set joins two primes exactly when their product divides
-some degree.  PSL2(q) and the Suzuki family 2B2(q^2) get direct structural
-constructors (three complete components in even characteristic, and so on),
-cross-checked by a degree-set oracle.  Abstract solvable models carry an
-explicit graph validated against the solvable constraints: bipartite
-complement, and a triangle or a 4-cycle once there are at least four
-vertices.  A direct product builds the join of its factors' graphs once, when
-it is constructed.
+some degree.  Every model carries its graph, built and validated once, when
+the model is constructed.  PSL2(q) and the Suzuki family 2B2(q^2) build theirs
+from structure (three complete components in even characteristic, and so on),
+cross-checked by a degree-set oracle; a model whose graph cannot be built is
+refused with OutOfRange.  Abstract solvable models take an explicit graph
+validated against the solvable constraints: bipartite complement, and a
+triangle or a 4-cycle once there are at least four vertices.  A direct
+product holds the join of its factors' graphs.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Union
 
-from .errors import BadParameter, ModelError
+from .errors import BadParameter, ModelError, OutOfRange
 from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, join
-from .numtheory import PrimePower, as_prime_power, prime_divisors
+from .numtheory import FACTOR_LIMIT, PrimePower, as_prime_power, prime_divisors
 
 SOLVABLE_LABELS = ("Type1", "Type4", "C4Product", "Abelian")
 DISCONNECTED_LABELS = ("Type1", "Type4")
+# the largest m whose q^4 + 1 = 2^(4m+2) + 1 lies below FACTOR_LIMIT, a power of 2
+_SUZUKI_M_MAX = (FACTOR_LIMIT.bit_length() - 4) // 4
 
 
 @dataclass(frozen=True)
@@ -52,23 +55,38 @@ class PSL2:
     """The family PSL2(q), q a prime power >= 4."""
 
     q: PrimePower
+    graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         value = self.q.value if isinstance(self.q, PrimePower) else self.q
         if value < 4:  # before factoring, which would refuse q < 2 as out of range
             raise BadParameter(f"PSL2 needs q >= 4, got {value}")
-        object.__setattr__(self, "q", _coerce_prime_power(self.q))
+        q = self.q if isinstance(self.q, PrimePower) else as_prime_power(value)
+        if q is None:
+            raise BadParameter(f"{value} is not a prime power")
+        object.__setattr__(self, "q", q)
+        # PSL2(5) and PSL2(4) are isomorphic
+        base, exponent = (2, 2) if value == 5 else (q.base, q.exponent)
+        object.__setattr__(self, "graph", _psl2_graph_cached(base, exponent))
 
 
 @dataclass(frozen=True)
 class Suzuki:
-    """The Suzuki family with q^2 = 2^(2m+1), m >= 1."""
+    """The Suzuki family with q^2 = 2^(2m+1), 1 <= m <= 23."""
 
     m: int
+    graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise BadParameter(f"Suzuki needs m >= 1, got {self.m}")
+        if self.m > _SUZUKI_M_MAX:
+            raise OutOfRange(f"Suzuki needs m <= {_SUZUKI_M_MAX}, got {self.m}")
+        q2 = 2 ** (2 * self.m + 1)
+        pi_small = prime_divisors(q2 - 1)
+        odd = sorted(set(pi_small) | set(prime_divisors(q2 * q2 + 1)))
+        edges = _complete(odd) + [(2, p) for p in pi_small]
+        object.__setattr__(self, "graph", PrimeGraph([2, *odd], edges))
 
 
 @dataclass(frozen=True)
@@ -152,15 +170,6 @@ def graph_from_degrees(degrees: DegreeSet) -> PrimeGraph:
     return PrimeGraph(vertices, edges)
 
 
-def _coerce_prime_power(q: PrimePower | int) -> PrimePower:
-    if isinstance(q, PrimePower):
-        return q
-    parsed = as_prime_power(q)
-    if parsed is None:
-        raise BadParameter(f"{q} is not a prime power")
-    return parsed
-
-
 def _complete(vertices) -> list[tuple[int, int]]:
     return list(itertools.combinations(sorted(vertices), 2))
 
@@ -175,10 +184,7 @@ def psl2_graph(q: PrimePower | int) -> PrimeGraph:
     both parts complete, and no edges across the parts.
     q = 5 is routed through q = 4 (the two groups are isomorphic).
     """
-    qq = PSL2(q).q
-    if qq.value == 5:
-        qq = PrimePower(2, 2)
-    return _psl2_graph_cached(qq.base, qq.exponent)
+    return PSL2(q).graph
 
 
 @lru_cache(maxsize=None)
@@ -205,13 +211,7 @@ def suzuki_graph(m: int) -> PrimeGraph:
     """Character graph of the Suzuki group with q^2 = 2^(2m+1): every odd
     vertex is adjacent to every other odd vertex, and 2 is adjacent exactly
     to the primes dividing q^2 - 1."""
-    Suzuki(m)  # validates m
-    q2 = 2 ** (2 * m + 1)
-    pi_small = prime_divisors(q2 - 1)
-    pi_large = prime_divisors(q2 * q2 + 1)
-    odd = sorted(set(pi_small) | set(pi_large))
-    edges = _complete(odd) + [(2, p) for p in pi_small]
-    return PrimeGraph([2, *odd], edges)
+    return Suzuki(m).graph
 
 
 def psl2_degree_oracle(q: PrimePower | int) -> DegreeSet:
@@ -230,13 +230,8 @@ def psl2_degree_oracle(q: PrimePower | int) -> DegreeSet:
 
 def model_graph(model: CharModel) -> PrimeGraph:
     """The character graph a model describes."""
-    match model:
-        case PSL2(q=q):
-            return psl2_graph(q)
-        case Suzuki(m=m):
-            return suzuki_graph(m)
-        case AbstractSolvable(graph=graph) | Product(graph=graph):
-            return graph
+    if isinstance(model, CharModel):
+        return model.graph
     raise BadParameter(f"not a model: {model!r}")
 
 

@@ -11,6 +11,7 @@ import pytest
 from chargraph.cli import build_parser, document_to_graph, graph_to_document, graph_to_dot, run
 from chargraph.errors import ChargraphError
 from chargraph.models import psl2_graph, suzuki_graph
+from chargraph.numtheory import as_prime_power
 from chargraph.search import sweep_models
 
 
@@ -108,6 +109,18 @@ def test_suite_json_matches_the_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "51ad29eb39a34977abfc7407c323ca79f8173b8ad444344dc2dd2c416f2066b1"
 
 
+def test_model_graph_documents_match_the_recorded_digest():
+    """The PSL2 graphs for q = 2^a, a in 2..90, and for the odd prime powers
+    7 <= q < 2000, and the Suzuki graphs for m in 1..23, pinned byte for byte
+    as graph documents."""
+    odd = [q for q in range(7, 2000, 2) if as_prime_power(q) is not None]
+    assert len(odd) == 321
+    graphs = [psl2_graph(2**a) for a in range(2, 91)] + [psl2_graph(q) for q in odd]
+    graphs += [suzuki_graph(m) for m in range(1, 24)]
+    text = "".join(json.dumps(graph_to_document(g), sort_keys=True) + "\n" for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == "781fd68e1eba3e12004091fd53ebc3c03955b8bd370223772e895c942ac7340d"
+
+
 def test_degrees_command(tmp_path, capsys):
     path = tmp_path / "degrees.txt"
     path.write_text("# PSL2(7) degrees\n1\n3\n6\n\n7\n8  # largest\n")
@@ -199,8 +212,9 @@ def test_bad_parameter_exits_2(capsys):
 def test_range_error_exits_3(capsys):
     code, _, err = invoke(capsys, "--quiet", "search", "--n", "5", "--k", "n-3", "--alpha-max", "91")
     assert code == 3 and "alpha range" in err
-    code, _, _ = invoke(capsys, "--quiet", "suzuki", "30")
-    assert code == 3
+    for m in (24, 30):  # q^4 + 1 = 2^(4m+2) + 1 passes the factorization cap from m = 24
+        code, out, err = invoke(capsys, "--quiet", "suzuki", str(m))
+        assert (code, out, err) == (3, "", f"error: Suzuki needs m <= 23, got {m}\n")
     # the library sweeps an empty range; the CLI refuses one instead of a vacuous PASS
     code, out, err = invoke(capsys, "verify", "--suite", "--alpha-max", "1")
     assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 1]\n")

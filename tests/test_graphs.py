@@ -1,6 +1,10 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +342,26 @@ def test_hamilton_matches_oracle_on_5_vertices():
         assert (cycle and cycle.vertices_in_order) == expected, mask
         if got:
             assert cycle.validates_in(g) and cycle.length == 5
+
+
+def test_cycle_searches_answer_an_unbalanced_bipartite_graph_at_once():
+    """A connected bipartite graph on parts of 9 and 10 vertices has no odd
+    cycle and no Hamilton cycle; without the bipartite rule either search
+    runs for minutes on it.  The searches run in their own interpreter, so a
+    hang ends at the timeout."""
+    code = (
+        "import random\n"
+        "from chargraph.graphs import PrimeGraph, connected_components, is_hamiltonian, longest_odd_cycle_at_least\n"
+        "primes = [p for p in range(2, 70) if all(p % d for d in range(2, p))][:19]\n"
+        "left, right, rng = primes[:9], primes[9:], random.Random(190)\n"
+        "g = PrimeGraph(primes, [(a, b) for a in left for b in right if rng.random() < 0.7])\n"
+        "print(len(connected_components(g)), is_hamiltonian(g), longest_odd_cycle_at_least(g, 3))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "1 HamiltonResult(is_hamiltonian=False, cycle=None) None\n", proc.stderr
 
 
 def test_hamilton_cap():

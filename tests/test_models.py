@@ -255,8 +255,26 @@ def test_product_stores_its_graph_outside_equality_and_repr():
     factors = (PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17))
     a, b = Product(factors), Product(factors)
     assert a == b and hash(a) == hash(b)
-    assert a.graph is model_graph(a)
     assert repr(a) == f"Product(factors={factors!r})"
+    # every model type holds its graph, and model_graph hands it out as it is
+    for model in (PSL2(7), Suzuki(2), *factors, a):
+        assert model_graph(model) is model.graph
+    with pytest.raises(BadParameter, match=r"^not a model: 7$"):
+        model_graph(7)
+    assert PSL2(5).graph == PSL2(4).graph and PSL2(5) != PSL2(4)
+    # PSL2 and Suzuki compare, hash and print on their parameter alone
+    assert PSL2(8) == PSL2(PrimePower(2, 3)) and hash(PSL2(8)) == hash((PrimePower(2, 3),))
+    assert repr(PSL2(8)) == "PSL2(q=PrimePower(base=2, exponent=3))"
+    assert Suzuki(2) == Suzuki(2) != Suzuki(3) and hash(Suzuki(2)) == hash((2,))
+    assert repr(Suzuki(2)) == "Suzuki(m=2)"
+
+
+def test_a_model_whose_graph_cannot_be_built_is_refused_at_construction():
+    with pytest.raises(OutOfRange):
+        PSL2(PrimePower(2, 96))  # q + 1 = 2^96 + 1 exceeds the factorization cap
+    with pytest.raises(OutOfRange, match=r"^Suzuki needs m <= 23, got 24$"):
+        Suzuki(24)
+    Suzuki(23)  # q^4 + 1 = 2^94 + 1, the largest that factors
 
 
 def test_nested_product_graph_and_overlap():
