@@ -24,7 +24,7 @@ from .graphs import (
     longest_odd_cycle_at_least,
 )
 from .models import (
-    DISCONNECTED_LABELS,
+    PAIRS_OF_LABEL,
     PSL2,
     AbstractSolvable,
     CharModel,
@@ -169,7 +169,7 @@ def _order_bound_record(name: str, report: ExactnessReport, **extra: Any) -> Ver
     )
 
 
-# (k - n, number of Type1/Type4 pairs) -> catalog case
+# (k - n, number of disconnected pairs, counted by PAIRS_OF_LABEL) -> catalog case
 _CASE_OF_SHAPE = {
     (-3, 0): CASE_MIN_ABELIAN,
     (-3, 2): CASE_MAX_TWO_PAIRS,
@@ -183,11 +183,11 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
 
     The model must be a product of exactly one even-characteristic PSL2
     factor with abstract solvable factors.  With k the common size of
-    pi(2^a - 1) and pi(2^a + 1) (AsymmetricPiSizes when they differ):
-    k = n-3 with abelian rest is case "a"; k = n-3 with two Type1/Type4
-    pairs is "b.i"; k = n-2 with one pair is "b.ii"; k = n-1 with abelian
-    rest is "b.iii".  A k outside {n-3, n-2, n-1} is not covered; a k inside
-    it whose solvable part does not fit that k's case is a ShapeMismatch.
+    pi(2^a - 1) and pi(2^a + 1) (AsymmetricPiSizes when they differ) and p
+    the sum of PAIRS_OF_LABEL over the solvable factors (a C4Product counts
+    two): k = n-3 with p = 0 is case "a", with p = 2 "b.i"; k = n-2 with
+    p = 1 is "b.ii"; k = n-1 with p = 0 is "b.iii".  A k outside {n-3, n-2,
+    n-1} is not covered; a k inside it whose p does not fit is a ShapeMismatch.
     Covered cases are verified on the spot: the graph must be n-exact with
     the case's required order.
     """
@@ -214,14 +214,11 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     k = k_minus
     if all(k - n != offset for offset, _ in _CASE_OF_SHAPE):
         return ExtremalCase(CASE_NOT_COVERED, alpha, k, None, None, None)
-    pairs = [f for f in rest if f.label in DISCONNECTED_LABELS]
-    nontrivial = [f for f in rest if f.label not in DISCONNECTED_LABELS and f.label != "Abelian"]
-    if nontrivial:
-        raise ShapeMismatch("the solvable part must consist of Type1/Type4 pairs and abelian factors")
-    case = _CASE_OF_SHAPE.get((k - n, len(pairs)))
+    pairs = sum(PAIRS_OF_LABEL[f.label] for f in rest)
+    case = _CASE_OF_SHAPE.get((k - n, pairs))
     if case is None:
         raise ShapeMismatch(
-            f"{len(pairs)} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
+            f"{pairs} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
         )
     expected_order = 2 * n - 5 if case == CASE_MIN_ABELIAN else 2 * n - 1
     report = check_n_exact(model_graph(model), n, character_model=True)

@@ -5,10 +5,11 @@ some degree.  Every model carries its graph, built and validated once, when
 the model is constructed.  PSL2(q) and the Suzuki family 2B2(q^2) build theirs
 from structure (three complete components in even characteristic, and so on),
 cross-checked by a degree-set oracle; a model whose graph cannot be built is
-refused with OutOfRange.  Abstract solvable models take an explicit graph
-validated against the solvable constraints: bipartite complement, and a
-triangle or a 4-cycle once there are at least four vertices.  A direct
-product holds the join of its factors' graphs.
+refused with OutOfRange.  An abstract solvable model's label fixes its graph:
+empty for Abelian, two non-adjacent primes for Type1/Type4, the 4-cycle for
+C4Product.  PAIRS_OF_LABEL counts the disconnected groups each label is a
+product of, the count the extremal catalog sorts by.  A direct product holds
+the join of its factors' graphs.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from functools import lru_cache, reduce
 from typing import Union
 
 from .errors import BadParameter, ModelError, OutOfRange
-from .graphs import PrimeGraph, complement, is_bipartite, is_kn_free, join
+from .graphs import PrimeGraph, join
 from .numtheory import FACTOR_LIMIT, PrimePower, as_prime_power, prime_divisors
 
-SOLVABLE_LABELS = ("Type1", "Type4", "C4Product", "Abelian")
-DISCONNECTED_LABELS = ("Type1", "Type4")
+# solvable label -> number of disconnected groups (Type1/Type4 pairs) it is a product of
+PAIRS_OF_LABEL = {"Type1": 1, "Type4": 1, "C4Product": 2, "Abelian": 0}
+SOLVABLE_LABELS = tuple(PAIRS_OF_LABEL)
 # the largest m whose q^4 + 1 = 2^(4m+2) + 1 lies below FACTOR_LIMIT, a power of 2
 _SUZUKI_M_MAX = (FACTOR_LIMIT.bit_length() - 4) // 4
 
@@ -58,16 +60,22 @@ class PSL2:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        value = self.q.value if isinstance(self.q, PrimePower) else self.q
-        if value < 4:  # before factoring, which would refuse q < 2 as out of range
-            raise BadParameter(f"PSL2 needs q >= 4, got {value}")
-        q = self.q if isinstance(self.q, PrimePower) else as_prime_power(value)
-        if q is None:
-            raise BadParameter(f"{value} is not a prime power")
+        q = _psl2_prime_power(self.q)
         object.__setattr__(self, "q", q)
         # PSL2(5) and PSL2(4) are isomorphic
-        base, exponent = (2, 2) if value == 5 else (q.base, q.exponent)
+        base, exponent = (2, 2) if q.value == 5 else (q.base, q.exponent)
         object.__setattr__(self, "graph", _psl2_graph_cached(base, exponent))
+
+
+def _psl2_prime_power(q: PrimePower | int) -> PrimePower:
+    """q as a prime power, refused unless it is one and q >= 4."""
+    value = q.value if isinstance(q, PrimePower) else q
+    if value < 4:  # before factoring, which would refuse q < 2 as out of range
+        raise BadParameter(f"PSL2 needs q >= 4, got {value}")
+    prime_power = q if isinstance(q, PrimePower) else as_prime_power(value)
+    if prime_power is None:
+        raise BadParameter(f"{value} is not a prime power")
+    return prime_power
 
 
 @dataclass(frozen=True)
@@ -93,9 +101,11 @@ class Suzuki:
 class AbstractSolvable:
     """A solvable group modeled only through its character graph.
 
-    Labels: Abelian (no degree primes), Type1/Type4 (two nonadjacent degree
-    primes; the internals of these disconnected groups stay opaque), and
-    C4Product (graph is a 4-cycle, the product of two disconnected groups).
+    The label fixes the graph: Abelian has no degree primes, Type1/Type4
+    two nonadjacent ones (the internals of these disconnected groups stay
+    opaque), and C4Product the 4-cycle, the product of two disconnected
+    groups.  Each of these has a bipartite complement, and the 4-cycle is the
+    only one on four or more vertices, so the solvable constraints hold.
     """
 
     label: str
@@ -111,18 +121,12 @@ class AbstractSolvable:
             raise ModelError(f"graph vertices {self.graph.vertices} must equal rho {rho}")
         if self.label == "Abelian" and rho:
             raise ModelError("an abelian model has no degree primes")
-        if self.label in DISCONNECTED_LABELS and (len(rho) != 2 or self.graph.size != 0):
+        if PAIRS_OF_LABEL[self.label] == 1 and (len(rho) != 2 or self.graph.size != 0):
             raise ModelError(f"{self.label} needs exactly two nonadjacent degree primes")
         # the only 2-regular graph on four vertices is the 4-cycle
         is_c4 = self.graph.order == 4 and all(len(self.graph.neighbors(v)) == 2 for v in rho)
         if self.label == "C4Product" and not is_c4:
             raise ModelError("C4Product needs a 4-cycle graph")
-        if not is_bipartite(complement(self.graph)).is_bipartite:
-            raise ModelError("a solvable model's graph must have bipartite complement")
-        if self.graph.order >= 4:
-            has_triangle = not is_kn_free(self.graph, 3).is_free
-            if not has_triangle and not is_c4:
-                raise ModelError("a solvable graph on 4+ vertices contains a triangle or is a 4-cycle")
 
 
 @dataclass(frozen=True)
@@ -218,8 +222,8 @@ def psl2_degree_oracle(q: PrimePower | int) -> DegreeSet:
     """Degree set of PSL2(q), used as an independent cross-check of the
     structural constructor: {1, q-1, q, q+1} for even q, plus (q+e)/2 with
     e = +1 for q = 1 mod 4 and e = -1 otherwise, for odd q.  q = 5 routes
-    through q = 4."""
-    value = PSL2(q).q.value
+    through q = 4.  q is validated without building the graph it checks."""
+    value = _psl2_prime_power(q).value
     if value == 5:
         value = 4
     if value % 2 == 0:

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, OutOfRange
 from .exactness import _CASE_OF_SHAPE, VerificationRecord, _sweep_records
-from .models import PSL2, AbstractSolvable, Product, abelian, disconnected_pair
+from .models import PSL2, Product, abelian, disconnected_pair
 from .numtheory import PrimePower, is_prime, prime_divisors
 
 # 2^90 + 1 stays inside the factorization range, with headroom
 ALPHA_CAP = 90
 
+# the swept solvable parts, indexed by their number of disconnected pairs
 SOLVABLE_SHAPES = ("abelian", "one_pair", "two_pairs")
 
 
@@ -91,22 +92,12 @@ def fresh_primes(count: int, exclude) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _solvable_factors(shape: str, exclude) -> list[AbstractSolvable]:
-    if shape == "abelian":
-        return [abelian()]
-    if shape == "one_pair":
-        p1, p2 = fresh_primes(2, exclude)
-        return [disconnected_pair("Type1", p1, p2)]
-    if shape == "two_pairs":
-        p1, p2, p3, p4 = fresh_primes(4, exclude)
-        return [disconnected_pair("Type1", p1, p2), disconnected_pair("Type4", p3, p4)]
-    raise BadParameter(f"unknown solvable shape {shape!r}; expected one of {SOLVABLE_SHAPES}")
-
-
-def sweep_models(n: int, alpha_range: tuple[int, int], solvable_shapes=SOLVABLE_SHAPES) -> list[VerificationRecord]:
-    """Build PSL2(2^alpha) x (solvable shape) for every alpha in the range and
-    every shape, classify each through classify_extremal_case and verify the
-    order bound on each, deciding each model once.  Covered catalog cases are
+def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecord]:
+    """Build PSL2(2^alpha) x R for every alpha in the range, with R abelian,
+    one Type1 pair and a Type1 plus a Type4 pair (0, 1 and 2 pairs, named by
+    SOLVABLE_SHAPES) on the smallest odd primes outside pi(2^(2 alpha) - 1).
+    Each model is classified through classify_extremal_case and checked
+    against the order bound, deciding it once.  Covered catalog cases are
     certificate-checked; a failed certificate surfaces as its own FAIL record."""
     if n < 4:
         raise BadParameter(f"n must be at least 4, got {n}")
@@ -114,7 +105,10 @@ def sweep_models(n: int, alpha_range: tuple[int, int], solvable_shapes=SOLVABLE_
     records: list[VerificationRecord] = []
     for alpha in range(lo, hi + 1):
         exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}
-        for shape in solvable_shapes:
-            model = Product((PSL2(PrimePower(2, alpha)), *_solvable_factors(shape, exclude)))
+        p1, p2, p3, p4 = fresh_primes(4, exclude)
+        pairs = (disconnected_pair("Type1", p1, p2), disconnected_pair("Type4", p3, p4))
+        psl2 = PSL2(PrimePower(2, alpha))
+        for count, shape in enumerate(SOLVABLE_SHAPES):
+            model = Product((psl2, *(pairs[:count] or (abelian(),))))
             records += _sweep_records(model, n, alpha=alpha, shape=shape)
     return records

@@ -244,7 +244,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     from chargraph import cli
     from chargraph.exactness import VerificationRecord
 
-    def fake_sweep(n, alpha_range, solvable_shapes=None):
+    def fake_sweep(n, alpha_range):
         return [VerificationRecord("order_bound", "forced failure", False, {"n": n})]
 
     monkeypatch.setattr(cli, "sweep_models", fake_sweep)

@@ -12,7 +12,7 @@ from chargraph.exactness import (
     verify_order_bound,
 )
 from chargraph.graphs import PrimeGraph, complement, is_hamiltonian, max_clique
-from chargraph.models import PSL2, Product, abelian, disconnected_pair, model_graph, psl2_graph
+from chargraph.models import PSL2, Product, abelian, c4_product, disconnected_pair, model_graph, psl2_graph
 from chargraph.numtheory import PrimePower, prime_divisors
 
 from oracles import brute_max_clique, brute_odd_cycle_exists
@@ -200,6 +200,10 @@ def test_case_b_i():
     )
     outcome = classify_extremal_case(model, 5)
     assert outcome.case == "b.i" and outcome.verified and outcome.report.order == 9
+    # a C4Product is the product of two disconnected groups: it counts as two
+    # pairs, and its 4-cycle is the graph of the two pairs on the same primes
+    c4 = classify_extremal_case(Product((PSL2(PrimePower(2, 6)), c4_product(11, 17, 19, 23))), 5)
+    assert c4.case == "b.i" and c4.verified and c4.report == outcome.report
 
 
 def test_case_b_ii_at_alpha_14():
@@ -226,6 +230,8 @@ def test_classification_error_paths_from_one_pair_model():
     unbalanced = Product((PSL2(PrimePower(2, 12)), disconnected_pair("Type1", 11, 19)))
     with pytest.raises(AsymmetricPiSizes):
         classify_extremal_case(unbalanced, 5)
+    with pytest.raises(BadParameter):
+        classify_extremal_case(one_pair, 3)
 
 
 def test_classification_rejects_wrong_shapes():
@@ -236,6 +242,11 @@ def test_classification_rejects_wrong_shapes():
     odd_char = Product((PSL2(PrimePower(3, 2)), abelian()))
     with pytest.raises(ShapeMismatch):
         classify_extremal_case(odd_char, 5)
+    # a factor beside PSL2 that is not abstract solvable (a Suzuki factor always
+    # shares the prime 2 with PSL2, so the product refuses it first)
+    nested = Product((PSL2(PrimePower(2, 6)), Product((abelian(),))))
+    with pytest.raises(ShapeMismatch):
+        classify_extremal_case(nested, 5)
 
 
 # --- hard instances: odd-cycle and Hamilton searches through many vertices ---

@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from chargraph.errors import BadParameter, ModelError, OutOfRange, VertexClash
-from chargraph.graphs import PrimeGraph, complement, connected_components, induced_subgraph, is_bipartite, join
+from chargraph.graphs import PrimeGraph, complement, connected_components, induced_subgraph, join
+from chargraph import models
 from chargraph.models import (
+    SOLVABLE_LABELS,
     AbstractSolvable,
     DegreeSet,
     PSL2,
@@ -22,6 +24,8 @@ from chargraph.models import (
     suzuki_graph,
 )
 from chargraph.numtheory import PrimePower, as_prime_power
+
+from oracles import brute_is_bipartite, brute_max_clique
 
 
 def complete_edges(primes):
@@ -202,13 +206,41 @@ def test_solvable_rejects_vertex_rho_mismatch():
 
 
 def test_every_accepted_solvable_meets_the_constraints():
-    for model in (abelian(), disconnected_pair("Type1", 3, 5), disconnected_pair("Type4", 7, 11), c4_product(3, 5, 7, 11)):
-        g = model_graph(model)
-        assert is_bipartite(complement(g)).is_bipartite
-        if g.order >= 4:
-            from chargraph.graphs import isomorphic_small, max_clique
+    # every label against every graph on 0, 2 and 4 primes: whatever AbstractSolvable
+    # accepts has a bipartite complement, and from 4 vertices on a triangle or is a 4-cycle
+    accepted = dict.fromkeys(SOLVABLE_LABELS, 0)
+    for primes in ((), (3, 5), (3, 5, 7, 11)):
+        pairs = list(itertools.combinations(primes, 2))
+        for mask in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+            for label in SOLVABLE_LABELS:
+                try:
+                    AbstractSolvable(label, primes, PrimeGraph(primes, edges))
+                except ModelError:
+                    continue
+                accepted[label] += 1
+                assert brute_is_bipartite(primes, set(pairs) - set(edges))
+                if len(primes) >= 4:
+                    first, *rest = primes
+                    arrangements = ((first, *perm) for perm in itertools.permutations(rest))
+                    four_cycles = [{tuple(sorted(e)) for e in zip(c, c[1:] + c[:1])} for c in arrangements]
+                    assert len(brute_max_clique(primes, edges)) >= 3 or set(edges) in four_cycles
+    # a label fixes the graph; on four primes only the three 4-cycles pass
+    assert accepted == {"Type1": 1, "Type4": 1, "C4Product": 3, "Abelian": 1}
 
-            assert len(max_clique(g)) >= 3 or isomorphic_small(g, c4_product(2, 3, 5, 7).graph)
+
+def test_psl2_degree_oracle_does_not_build_the_graph_it_checks(monkeypatch):
+    def refuse(base, exponent):
+        raise AssertionError(f"the oracle built the graph of PSL2({base}^{exponent})")
+
+    monkeypatch.setattr(models, "_psl2_graph_cached", refuse)
+    assert psl2_degree_oracle(64) == DegreeSet.of(1, 63, 64, 65)
+    assert psl2_degree_oracle(PrimePower(3, 2)) == DegreeSet.of(1, 5, 8, 9, 10)
+    # nor does it need the factoring of q +- 1 that refuses PSL2(2^96)
+    q = 2**96
+    assert psl2_degree_oracle(PrimePower(2, 96)) == DegreeSet.of(1, q - 1, q, q + 1)
+    with pytest.raises(BadParameter, match=r"^6 is not a prime power$"):
+        psl2_degree_oracle(6)
 
 
 # --- products ---

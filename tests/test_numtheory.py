@@ -8,6 +8,7 @@ from chargraph.errors import BadParameter, OutOfRange
 from chargraph.numtheory import (
     FACTOR_LIMIT,
     PrimePower,
+    _strong_lucas_passes,
     as_prime_power,
     factorize,
     is_prime,
@@ -87,6 +88,18 @@ def test_is_prime_large_values():
     assert not is_prime(2**89 + 1)
     assert is_prime((1 << 61) - 1)
     assert not is_prime((1 << 61) - 3)
+
+
+# the strong Lucas pseudoprimes below 60000 (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519)
+
+
+def test_strong_lucas_passes_exactly_the_primes_and_the_known_pseudoprimes():
+    # is_prime runs the Lucas test only above the proven Miller-Rabin bound, so
+    # it is checked on its own here, over odd non-squares from 43^2 up
+    for n in range(1849, 60000, 2):
+        if math.isqrt(n) ** 2 != n:
+            assert _strong_lucas_passes(n) == (brute_is_prime(n) or n in STRONG_LUCAS_PSEUDOPRIMES), n
 
 
 def test_as_prime_power_spec_values():

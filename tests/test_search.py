@@ -66,6 +66,9 @@ def test_find_alphas_validation():
         find_alphas(5, 2, (2, 91))
     with pytest.raises(OutOfRange):
         find_alphas(5, 2, (1, 8))
+    # the sweep refuses the same n
+    with pytest.raises(BadParameter):
+        sweep_models(3, (2, 8))
 
 
 def test_fresh_primes_skip_excluded():
@@ -90,7 +93,10 @@ def test_sweep_no_failures_and_cases_realized():
 
 
 def test_sweep_n4_abelian_only():
-    records = sweep_models(4, (2, 10), solvable_shapes=("abelian",))
+    records = sweep_models(4, (2, 10))
+    # an abelian model's records: its order-bound record names the shape, its case record only the model
+    abelian_models = {r.details["model"] for r in records if r.details.get("shape") == "abelian"}
+    records = [r for r in records if r.details["model"] in abelian_models]
     assert all(r.passed for r in records)
     for record in records:
         if record.check == "order_bound" and record.details["n_exact"]:
@@ -108,7 +114,3 @@ def test_sweep_records_are_deterministic():
         (r.check, r.description, r.passed, r.details) for r in second
     ]
 
-
-def test_sweep_rejects_unknown_shape():
-    with pytest.raises(BadParameter):
-        sweep_models(5, (2, 4), solvable_shapes=("abelian", "three_pairs"))
