@@ -169,22 +169,11 @@ def _alpha_range(alpha_max: int) -> tuple[int, int]:
 def _cmd_search(args: argparse.Namespace) -> int:
     k_target = {"n-3": args.n - 3, "n-2": args.n - 2, "n-1": args.n - 1}[args.k]
     result = find_alphas(args.n, k_target, _alpha_range(args.alpha_max))
-    payload = {
-        "n": result.n,
-        "k_target": result.k_target,
-        "case": result.case,
-        "alpha_range": list(result.exhausted_range),
-        "realizations": [
-            {"alpha": r.alpha, "pi_minus": list(r.pi_minus), "pi_plus": list(r.pi_plus)}
-            for r in result.realizations
-        ],
-        "near_misses": list(result.near_misses),
-    }
-    sys.stdout.write(_dump_json(payload))
+    sys.stdout.write(_dump_json(dataclasses.asdict(result)))
     if not args.quiet:
         hits = [r.alpha for r in result.realizations]
         print(
-            f"k = {k_target}: {len(hits)} realization(s) in alpha {result.exhausted_range}: {hits}; "
+            f"k = {k_target}: {len(hits)} realization(s) in alpha {result.alpha_range}: {hits}; "
             f"{len(result.near_misses)} near miss(es)",
             file=sys.stderr,
         )

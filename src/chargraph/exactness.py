@@ -26,7 +26,6 @@ from .graphs import (
 from .models import (
     PAIRS_OF_LABEL,
     PSL2,
-    AbstractSolvable,
     CharModel,
     Product,
     describe_model,
@@ -199,8 +198,8 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     rest = [f for f in model.factors if not isinstance(f, PSL2)]
     if len(psl2_factors) != 1:
         raise ShapeMismatch(f"expected exactly one PSL2 factor, got {len(psl2_factors)}")
-    if not all(isinstance(f, AbstractSolvable) for f in rest):
-        raise ShapeMismatch("every factor beside PSL2 must be an abstract solvable model")
+    # a flat product holds no Product factor, and a Suzuki or second PSL2 graph
+    # holds the prime 2, which join refuses to share: the rest is abstract solvable
     q = psl2_factors[0].q
     if q.base != 2:
         raise ShapeMismatch(f"the extremal catalog needs an even-characteristic PSL2 factor, got q = {q.value}")
@@ -264,16 +263,19 @@ def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRec
     return records
 
 
-# the exponents f of q = 2^f the Hamilton characterization is verified for
+# the exponents f of q = 2^f the verification suite checks the Hamilton
+# characterization for; the check itself takes any f >= 2 within the caps
 HAMILTON_F_RANGE = (2, 12)
 
 
 def verify_hamilton_characterization(f: int) -> VerificationRecord:
     """Check, for q = 2^f, that the complement of the PSL2(q) graph is
     non-bipartite and Hamiltonian exactly when the sizes of pi(q-1) and
-    pi(q+1) differ by at most 1."""
-    if not HAMILTON_F_RANGE[0] <= f <= HAMILTON_F_RANGE[1]:
-        raise BadParameter(f"f must lie in {list(HAMILTON_F_RANGE)}, got {f}")
+    pi(q+1) differ by at most 1.  The searches cap f from above: PSL2 refuses
+    a q whose q +- 1 cannot be factored (OutOfRange), and the Hamilton search
+    a complement on more than MAX_HAMILTON_VERTICES vertices (TooLarge)."""
+    if f < 2:
+        raise BadParameter(f"f must be at least 2, got {f}")
     q = 2**f
     comp = complement(psl2_graph(q))
     bipartite = is_bipartite(comp)

@@ -5,11 +5,12 @@ some degree.  Every model carries its graph, built and validated once, when
 the model is constructed.  PSL2(q) and the Suzuki family 2B2(q^2) build theirs
 from structure (three complete components in even characteristic, and so on),
 cross-checked by a degree-set oracle; a model whose graph cannot be built is
-refused with OutOfRange.  An abstract solvable model's label fixes its graph:
+refused with OutOfRange.  An abstract solvable model is its label and its
+graph, whose vertices are its degree primes; the label fixes the graph:
 empty for Abelian, two non-adjacent primes for Type1/Type4, the 4-cycle for
 C4Product.  PAIRS_OF_LABEL counts the disconnected groups each label is a
-product of, the count the extremal catalog sorts by.  A direct product holds
-the join of its factors' graphs.
+product of, the count the extremal catalog sorts by.  A direct product is
+flat, its factors none of them a product, and holds the join of their graphs.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class Suzuki:
 
 @dataclass(frozen=True)
 class AbstractSolvable:
-    """A solvable group modeled only through its character graph.
+    """A solvable group modeled only through its character graph, whose
+    vertices are its degree primes.
 
     The label fixes the graph: Abelian has no degree primes, Type1/Type4
     two nonadjacent ones (the internals of these disconnected groups stay
@@ -109,22 +111,18 @@ class AbstractSolvable:
     """
 
     label: str
-    rho: tuple[int, ...]
     graph: PrimeGraph
 
     def __post_init__(self) -> None:
         if self.label not in SOLVABLE_LABELS:
             raise ModelError(f"unknown solvable label {self.label!r}; expected one of {SOLVABLE_LABELS}")
-        rho = tuple(sorted(set(self.rho)))
-        object.__setattr__(self, "rho", rho)
-        if self.graph.vertices != rho:
-            raise ModelError(f"graph vertices {self.graph.vertices} must equal rho {rho}")
-        if self.label == "Abelian" and rho:
+        g = self.graph
+        if self.label == "Abelian" and g.order:
             raise ModelError("an abelian model has no degree primes")
-        if PAIRS_OF_LABEL[self.label] == 1 and (len(rho) != 2 or self.graph.size != 0):
+        if PAIRS_OF_LABEL[self.label] == 1 and (g.order != 2 or g.size != 0):
             raise ModelError(f"{self.label} needs exactly two nonadjacent degree primes")
         # the only 2-regular graph on four vertices is the 4-cycle
-        is_c4 = self.graph.order == 4 and all(len(self.graph.neighbors(v)) == 2 for v in rho)
+        is_c4 = g.order == 4 and all(len(g.neighbors(v)) == 2 for v in g.vertices)
         if self.label == "C4Product" and not is_c4:
             raise ModelError("C4Product needs a 4-cycle graph")
 
@@ -132,13 +130,18 @@ class AbstractSolvable:
 @dataclass(frozen=True)
 class Product:
     """Direct product of models with pairwise disjoint prime supports; join
-    refuses overlapping supports (VertexClash) as it builds their graph."""
+    refuses overlapping supports (VertexClash) as it builds their graph.
+
+    A product is flat: the direct product is associative, so the factors of
+    a Product factor are spliced into the factor list, and a nested product
+    equals, hashes and describes as its flat form."""
 
     factors: tuple[CharModel, ...]
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        factors = tuple(self.factors)
+        # a Product factor is already flat, so one level of splicing suffices
+        factors = tuple(leaf for f in self.factors for leaf in (f.factors if isinstance(f, Product) else (f,)))
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise BadParameter("a product needs at least one factor")
@@ -149,18 +152,17 @@ CharModel = Union[PSL2, Suzuki, AbstractSolvable, Product]
 
 
 def abelian() -> AbstractSolvable:
-    return AbstractSolvable("Abelian", (), PrimeGraph(()))
+    return AbstractSolvable("Abelian", PrimeGraph(()))
 
 
 def disconnected_pair(label: str, p: int, q: int) -> AbstractSolvable:
     """Type1/Type4 model: two degree primes, no edge."""
-    return AbstractSolvable(label, (p, q), PrimeGraph((p, q)))
+    return AbstractSolvable(label, PrimeGraph((p, q)))
 
 
 def c4_product(p1: int, p2: int, q1: int, q2: int) -> AbstractSolvable:
     """Solvable product whose graph is the 4-cycle joining pairs {p1,p2} and {q1,q2}."""
-    graph = join(PrimeGraph((p1, p2)), PrimeGraph((q1, q2)))
-    return AbstractSolvable("C4Product", graph.vertices, graph)
+    return AbstractSolvable("C4Product", join(PrimeGraph((p1, p2)), PrimeGraph((q1, q2))))
 
 
 def graph_from_degrees(degrees: DegreeSet) -> PrimeGraph:
@@ -239,19 +241,14 @@ def model_graph(model: CharModel) -> PrimeGraph:
     raise BadParameter(f"not a model: {model!r}")
 
 
-def model_support(model: CharModel) -> tuple[int, ...]:
-    """The primes on which the model's graph lives."""
-    return model_graph(model).vertices
-
-
 def describe_model(model: CharModel) -> str:
     match model:
         case PSL2(q=q):
             return f"PSL2({q.value})"
         case Suzuki(m=m):
             return f"Suzuki(m={m})"
-        case AbstractSolvable(label=label, rho=rho):
-            return label if not rho else f"{label}{{{', '.join(map(str, rho))}}}"
+        case AbstractSolvable(label=label, graph=graph):
+            return label if not graph.order else f"{label}{{{', '.join(map(str, graph.vertices))}}}"
         case Product(factors=factors):
             return f"Product[{', '.join(describe_model(f) for f in factors)}]"
     return repr(model)

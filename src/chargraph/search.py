@@ -39,7 +39,7 @@ class SearchResult:
     k_target: int
     case: str
     realizations: tuple[AlphaRealization, ...]
-    exhausted_range: tuple[int, int]
+    alpha_range: tuple[int, int]
     near_misses: tuple[int, ...]
 
 
@@ -75,7 +75,7 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
         k_target=k_target,
         case=case,
         realizations=tuple(realizations),
-        exhausted_range=(lo, hi),
+        alpha_range=(lo, hi),
         near_misses=tuple(near_misses),
     )
 

@@ -272,17 +272,17 @@ def test_criterion_7_solvable_constraints():
     rejected = 0
     violations = [
         # nonbipartite complement (complement of the edgeless triangle is K3)
-        ("C4Product", (3, 5, 7), PrimeGraph((3, 5, 7))),
+        ("C4Product", PrimeGraph((3, 5, 7))),
         # 4+ vertices, triangle-free, not a 4-cycle
-        ("C4Product", (3, 5, 7, 11), PrimeGraph((3, 5, 7, 11), [(3, 5), (5, 7), (7, 11)])),
+        ("C4Product", PrimeGraph((3, 5, 7, 11), [(3, 5), (5, 7), (7, 11)])),
         # disconnected pair with an edge
-        ("Type1", (11, 17), PrimeGraph((11, 17), [(11, 17)])),
+        ("Type1", PrimeGraph((11, 17), [(11, 17)])),
         # abelian with vertices
-        ("Abelian", (3,), PrimeGraph((3,))),
+        ("Abelian", PrimeGraph((3,))),
     ]
-    for label, rho, graph in violations:
+    for label, graph in violations:
         try:
-            AbstractSolvable(label, rho, graph)
+            AbstractSolvable(label, graph)
         except ModelError:
             rejected += 1
     _verdict(

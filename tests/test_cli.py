@@ -166,6 +166,10 @@ def test_search_command(capsys):
     alphas = [r["alpha"] for r in payload["realizations"]]
     assert 6 in alphas
     assert payload["k_target"] == 2
+    # without --quiet the same document, and a summary on stderr
+    code, loud_out, err = invoke(capsys, "search", "--n", "5", "--k", "n-3", "--alpha-max", "12")
+    assert code == 0 and loud_out == out
+    assert err == "k = 2: 3 realization(s) in alpha (2, 12): [6, 9, 11]; 5 near miss(es)\n"
 
 
 def test_verify_command_passes(capsys):

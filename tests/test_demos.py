@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints something, and the README
+quick start gives the values its comments state."""
 
 import os
 import subprocess
@@ -21,3 +22,15 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_readme_quick_start():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    report, outcome = namespace["report"], namespace["outcome"]
+    assert report.verdict is True
+    assert report.extremal_class == "MinExtremal"
+    assert report.odd_cycle.vertices_in_order == (2, 3, 5, 7, 13)
+    assert outcome.case == "b.i" and outcome.verified is True

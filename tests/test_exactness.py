@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chargraph.errors import AsymmetricPiSizes, BadParameter, ShapeMismatch, TooLarge
+from chargraph.errors import AsymmetricPiSizes, BadParameter, OutOfRange, ShapeMismatch, TooLarge
 from chargraph.exactness import (
     alternating_cycle_witness,
     check_n_exact,
@@ -200,6 +200,9 @@ def test_case_b_i():
     )
     outcome = classify_extremal_case(model, 5)
     assert outcome.case == "b.i" and outcome.verified and outcome.report.order == 9
+    # the pairs nested in a product of their own: the same flat model, the same outcome
+    nested = Product((PSL2(PrimePower(2, 6)), Product(model.factors[1:])))
+    assert classify_extremal_case(nested, 5) == outcome
     # a C4Product is the product of two disconnected groups: it counts as two
     # pairs, and its 4-cycle is the graph of the two pairs on the same primes
     c4 = classify_extremal_case(Product((PSL2(PrimePower(2, 6)), c4_product(11, 17, 19, 23))), 5)
@@ -242,11 +245,6 @@ def test_classification_rejects_wrong_shapes():
     odd_char = Product((PSL2(PrimePower(3, 2)), abelian()))
     with pytest.raises(ShapeMismatch):
         classify_extremal_case(odd_char, 5)
-    # a factor beside PSL2 that is not abstract solvable (a Suzuki factor always
-    # shares the prime 2 with PSL2, so the product refuses it first)
-    nested = Product((PSL2(PrimePower(2, 6)), Product((abelian(),))))
-    with pytest.raises(ShapeMismatch):
-        classify_extremal_case(nested, 5)
 
 
 # --- hard instances: odd-cycle and Hamilton searches through many vertices ---
@@ -306,5 +304,9 @@ def test_hamilton_characterization_details():
 def test_hamilton_characterization_range():
     with pytest.raises(BadParameter):
         verify_hamilton_characterization(1)
-    with pytest.raises(BadParameter):
-        verify_hamilton_characterization(13)
+    # the suite's range ends at 12; beyond it the graph's own caps bound f
+    assert all(verify_hamilton_characterization(f).passed for f in range(13, 90))
+    with pytest.raises(TooLarge, match=r"^Hamilton search is capped at 20 vertices, got 22$"):
+        verify_hamilton_characterization(90)
+    with pytest.raises(OutOfRange):
+        verify_hamilton_characterization(96)

@@ -72,6 +72,9 @@ def test_edges_canonical_and_validated():
         PrimeGraph((2, 3), [(2, 2)])
     with pytest.raises(UnknownVertex):
         PrimeGraph((2, 3), [(2, 7)])
+    assert g.neighbors(2) == {3, 5} and 5 in g and 7 not in g
+    with pytest.raises(UnknownVertex, match=r"^vertex 7 is not in the graph$"):
+        g.neighbors(7)
 
 
 def test_structural_equality():
@@ -79,6 +82,7 @@ def test_structural_equality():
     g2 = PrimeGraph((2, 3), [(2, 3)])
     assert g1 == g2 and hash(g1) == hash(g2)
     assert g1 != PrimeGraph((2, 3))
+    assert (g1 == "x") is False and g1 != "x"
 
 
 # --- complement / induced / join ---

@@ -18,7 +18,6 @@ from chargraph.models import (
     disconnected_pair,
     graph_from_degrees,
     model_graph,
-    model_support,
     psl2_degree_oracle,
     psl2_graph,
     suzuki_graph,
@@ -156,13 +155,13 @@ def test_degree_oracle_agrees_with_constructor_small():
 
 def test_abelian_model():
     model = abelian()
-    assert model.rho == ()
-    assert model_graph(model) == PrimeGraph(())
+    assert model == AbstractSolvable("Abelian", PrimeGraph(()))
+    assert model_graph(model).vertices == ()
 
 
 def test_disconnected_pair_model():
     model = disconnected_pair("Type1", 17, 11)
-    assert model.rho == (11, 17)
+    assert model_graph(model).vertices == (11, 17)
     assert model_graph(model).size == 0
     with pytest.raises(ModelError):
         disconnected_pair("Type2", 11, 17)
@@ -178,31 +177,26 @@ def test_c4_product_model():
 
 def test_solvable_rejects_pair_with_edge():
     with pytest.raises(ModelError):
-        AbstractSolvable("Type1", (11, 17), PrimeGraph((11, 17), [(11, 17)]))
+        AbstractSolvable("Type1", PrimeGraph((11, 17), [(11, 17)]))
 
 
 def test_solvable_rejects_nonbipartite_complement():
     # complement of the edgeless triangle is K3
     with pytest.raises(ModelError):
-        AbstractSolvable("C4Product", (3, 5, 7), PrimeGraph((3, 5, 7)))
+        AbstractSolvable("C4Product", PrimeGraph((3, 5, 7)))
 
 
 def test_solvable_rejects_triangle_free_non_c4():
     # the 4-vertex path is triangle-free and not a 4-cycle
     path = PrimeGraph((3, 5, 7, 11), [(3, 5), (5, 7), (7, 11)])
     with pytest.raises(ModelError):
-        AbstractSolvable("C4Product", (3, 5, 7, 11), path)
+        AbstractSolvable("C4Product", path)
 
 
 def test_solvable_rejects_five_cycle():
     five = PrimeGraph((3, 5, 7, 11, 13), [(3, 5), (5, 7), (7, 11), (11, 13), (3, 13)])
     with pytest.raises(ModelError):
-        AbstractSolvable("C4Product", five.vertices, five)
-
-
-def test_solvable_rejects_vertex_rho_mismatch():
-    with pytest.raises(ModelError):
-        AbstractSolvable("Abelian", (3,), PrimeGraph(()))
+        AbstractSolvable("C4Product", five)
 
 
 def test_every_accepted_solvable_meets_the_constraints():
@@ -215,7 +209,7 @@ def test_every_accepted_solvable_meets_the_constraints():
             edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
             for label in SOLVABLE_LABELS:
                 try:
-                    AbstractSolvable(label, primes, PrimeGraph(primes, edges))
+                    AbstractSolvable(label, PrimeGraph(primes, edges))
                 except ModelError:
                     continue
                 accepted[label] += 1
@@ -311,8 +305,13 @@ def test_a_model_whose_graph_cannot_be_built_is_refused_at_construction():
 
 def test_nested_product_graph_and_overlap():
     psl2, pair, other = PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17), disconnected_pair("Type4", 19, 23)
-    nested = Product((Product((psl2, pair)), other))
-    assert model_graph(nested) == model_graph(Product((psl2, pair, other)))
+    flat = Product((psl2, pair, other))
+    # a product is flat: a nested one is its flat form, with the same graph
+    for nested in (Product((Product((psl2, pair)), other)), Product((psl2, Product((pair, Product((other,))))))):
+        assert nested.factors == (psl2, pair, other)
+        assert nested == flat and hash(nested) == hash(flat)
+        assert describe_model(nested) == describe_model(flat) == "Product[PSL2(64), Type1{11, 17}, Type4{19, 23}]"
+        assert model_graph(nested) == model_graph(flat)
     with pytest.raises(VertexClash, match=r"^vertex sets overlap on \[11, 17\]$"):
         Product((Product((psl2, pair)), disconnected_pair("Type4", 11, 17)))
 
@@ -324,13 +323,13 @@ def test_product_vertex_count_and_factor_complements():
     assert g.order == sum(model_graph(f).order for f in factors)
     comp = complement(g)
     for factor in factors:
-        support = model_support(factor)
+        support = model_graph(factor).vertices
         assert induced_subgraph(comp, support) == complement(model_graph(factor))
 
 
-def test_model_support_and_describe():
+def test_model_graph_vertices_and_describe():
     model = Product((PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17)))
-    assert model_support(model) == (2, 3, 5, 7, 11, 13, 17)
+    assert model_graph(model).vertices == (2, 3, 5, 7, 11, 13, 17)
     assert describe_model(model) == "Product[PSL2(64), Type1{11, 17}]"
     assert describe_model(abelian()) == "Abelian"
     assert describe_model(Suzuki(1)) == "Suzuki(m=1)"

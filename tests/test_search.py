@@ -11,7 +11,7 @@ def test_find_alphas_n5_k2_includes_alpha_6():
     assert 6 in hits
     assert hits[6].pi_minus == (3, 7) and hits[6].pi_plus == (5, 13)
     assert result.case == "a/b.i"
-    assert result.exhausted_range == (2, 12)
+    assert result.alpha_range == (2, 12)
 
 
 def test_find_alphas_n4_k1_fixed_list():
@@ -31,7 +31,7 @@ def test_find_alphas_n4_k1_fixed_list():
 def test_find_alphas_empty_range():
     result = find_alphas(5, 2, (9, 8))
     assert result.realizations == ()
-    assert result.exhausted_range == (9, 8)
+    assert result.alpha_range == (9, 8)
     assert find_alphas(5, 4, (9, 8)).case == "b.iii"
 
 
