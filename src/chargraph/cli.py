@@ -122,7 +122,7 @@ def _cmd_suzuki(args: argparse.Namespace) -> int:
 
 def _parse_degree_file(path: Path) -> DegreeSet:
     degrees = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -144,7 +144,7 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
     g, metadata = document_to_graph(doc)
     tagged = args.character_model or bool(metadata.get("model"))
     report = check_n_exact(g, args.n, character_model=tagged)
@@ -213,7 +213,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text())
+    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
     g, metadata = document_to_graph(doc)
     return _emit_graph(g, metadata, args.format, args.quiet, f"{g.order} vertices, {g.size} edges")
 

@@ -32,7 +32,7 @@ from .models import (
     model_graph,
     psl2_graph,
 )
-from .numtheory import prime_divisors
+from .numtheory import PrimePower, prime_divisors
 
 MIN_EXTREMAL = "MinExtremal"
 MAX_EXTREMAL = "MaxExtremal"
@@ -277,7 +277,7 @@ def verify_hamilton_characterization(f: int) -> VerificationRecord:
     if f < 2:
         raise BadParameter(f"f must be at least 2, got {f}")
     q = 2**f
-    comp = complement(psl2_graph(q))
+    comp = complement(psl2_graph(PrimePower(2, f)))
     bipartite = is_bipartite(comp)
     hamilton = is_hamiltonian(comp)
     graph_side = (not bipartite.is_bipartite) and hamilton.is_hamiltonian

@@ -1,9 +1,10 @@
 """Character-graph constructors for the modeled group families.
 
 The graph of a degree set joins two primes exactly when their product divides
-some degree.  Every model carries its graph, built and validated once, when
-the model is constructed.  PSL2(q) and the Suzuki family 2B2(q^2) build theirs
-from structure (three complete components in even characteristic, and so on),
+some degree, so the prime support of each degree is a clique and every graph
+built here is a union of cliques.  Every model carries its graph, built and
+validated once, when the model is constructed.  PSL2(q) and the Suzuki family
+2B2(q^2) build theirs as the union of the supports of a few of their degrees,
 cross-checked by a degree-set oracle; a model whose graph cannot be built is
 refused with OutOfRange.  An abstract solvable model is its label and its
 graph, whose vertices are its degree primes; the label fixes the graph:
@@ -61,6 +62,10 @@ class PSL2:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # the graph factors q +- 1; checked before as_prime_power, whose refusal names neither PSL2 nor this cap
+        value = self.q.value if isinstance(self.q, PrimePower) else self.q
+        if value + 1 >= FACTOR_LIMIT:
+            raise OutOfRange(f"PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {self.q}")
         q = _psl2_prime_power(self.q)
         object.__setattr__(self, "q", q)
         # PSL2(5) and PSL2(4) are isomorphic
@@ -93,9 +98,8 @@ class Suzuki:
             raise OutOfRange(f"Suzuki needs m <= {_SUZUKI_M_MAX}, got {self.m}")
         q2 = 2 ** (2 * self.m + 1)
         pi_small = prime_divisors(q2 - 1)
-        odd = sorted(set(pi_small) | set(prime_divisors(q2 * q2 + 1)))
-        edges = _complete(odd) + [(2, p) for p in pi_small]
-        object.__setattr__(self, "graph", PrimeGraph([2, *odd], edges))
+        graph = _clique_union((2, *pi_small), pi_small + prime_divisors(q2 * q2 + 1))
+        object.__setattr__(self, "graph", graph)
 
 
 @dataclass(frozen=True)
@@ -168,27 +172,24 @@ def c4_product(p1: int, p2: int, q1: int, q2: int) -> AbstractSolvable:
 def graph_from_degrees(degrees: DegreeSet) -> PrimeGraph:
     """Graph on the primes dividing some degree; p and q are adjacent exactly
     when p*q divides some degree."""
-    supports = [prime_divisors(d) for d in degrees.sorted() if d > 1]
-    vertices = sorted(set(itertools.chain.from_iterable(supports)))
-    edges = set()
-    for support in supports:
-        edges.update(itertools.combinations(support, 2))
-    return PrimeGraph(vertices, edges)
+    return _clique_union(*map(prime_divisors, degrees.sorted()))
 
 
-def _complete(vertices) -> list[tuple[int, int]]:
-    return list(itertools.combinations(sorted(vertices), 2))
+def _clique_union(*cliques: tuple[int, ...]) -> PrimeGraph:
+    """The graph on the primes of the cliques, two primes adjacent when some
+    clique holds both."""
+    edges = (edge for clique in cliques for edge in itertools.combinations(clique, 2))
+    return PrimeGraph(itertools.chain.from_iterable(cliques), edges)
 
 
 def psl2_graph(q: PrimePower | int) -> PrimeGraph:
     """Character graph of PSL2(q) for a prime power q >= 4.
 
-    q even: three components {2}, pi(q-1), pi(q+1), each complete.
-    q odd (q > 5): {p} isolated; on pi(q^2 - 1), the component is complete
-    when q-1 or q+1 is a power of 2, and otherwise splits as
-    {2} + (pi(q-1) - {2}) + (pi(q+1) - {2}) with 2 adjacent to everything,
-    both parts complete, and no edges across the parts.
-    q = 5 is routed through q = 4 (the two groups are isomorphic).
+    For q = p^f it is the union of the cliques {p}, pi(q-1) and pi(q+1), the
+    supports of the degrees q, q-1 and q+1: three components for even q, and
+    for odd q the isolated p beside pi(q^2 - 1), where 2 lies in both cliques
+    and so is adjacent to every other prime.  q = 5 is routed through q = 4
+    (the two groups are isomorphic).
     """
     return PSL2(q).graph
 
@@ -196,25 +197,12 @@ def psl2_graph(q: PrimePower | int) -> PrimeGraph:
 @lru_cache(maxsize=None)
 def _psl2_graph_cached(base: int, exponent: int) -> PrimeGraph:
     q = base**exponent
-    pi_minus = prime_divisors(q - 1)
-    pi_plus = prime_divisors(q + 1)
-    if base == 2:
-        vertices = {2, *pi_minus, *pi_plus}
-        edges = _complete(pi_minus) + _complete(pi_plus)
-        return PrimeGraph(vertices, edges)
-    others = sorted(set(pi_minus) | set(pi_plus))
-    vertices = {base, *others}
-    if (q - 1) & (q - 2) == 0 or (q + 1) & q == 0:  # q-1 or q+1 a power of 2
-        edges = _complete(others)
-    else:
-        minus = [p for p in pi_minus if p != 2]
-        plus = [p for p in pi_plus if p != 2]
-        edges = _complete(minus) + _complete(plus) + [(2, p) for p in minus + plus]
-    return PrimeGraph(vertices, edges)
+    return _clique_union((base,), prime_divisors(q - 1), prime_divisors(q + 1))
 
 
 def suzuki_graph(m: int) -> PrimeGraph:
-    """Character graph of the Suzuki group with q^2 = 2^(2m+1): every odd
+    """Character graph of the Suzuki group with q^2 = 2^(2m+1): the union of
+    the cliques {2} + pi(q^2 - 1) and pi(q^2 - 1) + pi(q^4 + 1), so every odd
     vertex is adjacent to every other odd vertex, and 2 is adjacent exactly
     to the primes dividing q^2 - 1."""
     return Suzuki(m).graph

@@ -32,6 +32,18 @@ def brute_is_prime(n: int) -> bool:
     return n >= 2 and brute_factorize(n) == [n]
 
 
+def brute_degree_graph(degrees) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """Vertices and sorted edges of the graph of a degree set: the primes
+    dividing some degree, p < q adjacent when p*q divides some degree."""
+    vertices = sorted({p for d in degrees for p in brute_prime_divisors(d)})
+    edges = [
+        (p, q)
+        for p, q in itertools.combinations(vertices, 2)
+        if any(d % (p * q) == 0 for d in degrees)
+    ]
+    return tuple(vertices), edges
+
+
 def _is_clique(vertices, edge_set) -> bool:
     return all(
         (a, b) in edge_set for a, b in itertools.combinations(sorted(vertices), 2)

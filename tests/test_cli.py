@@ -196,6 +196,29 @@ def test_export_command(tmp_path, capsys):
     assert code == 0 and json.loads(out2)["vertices"] == [2, 3, 5, 11]
 
 
+def test_input_files_are_read_as_utf8(tmp_path):
+    """JSON is UTF-8 (RFC 8259): the input files are read as UTF-8 whatever
+    the locale, so no read falls back to the locale encoding."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNDEFAULTENCODING="1")
+    graph_file = tmp_path / "g.json"
+    doc = graph_to_document(psl2_graph(11), {"model": "PSL\u2082(11)", "note": "caract\u00e8res"})
+    graph_file.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    degree_file = tmp_path / "degrees.txt"
+    degree_file.write_text("# degr\u00e9s de PSL\u2082(7)\n1\n3\n6\n7\n8\n", encoding="utf-8")
+    calls = [
+        (["analyze", "--n", "4", "--input", str(graph_file)], "verdict"),
+        (["export", "--input", str(graph_file), "--format", "json"], "PSL\\u2082(11)"),
+        (["degrees", str(degree_file)], "vertices"),
+    ]
+    for argv, expected in calls:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::EncodingWarning", "-m", "chargraph.cli", "--quiet", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0 and expected in proc.stdout, (argv, proc.stderr)
+
+
 # --- exit codes ---
 
 

@@ -463,6 +463,14 @@ def test_isomorphic_small_spec_values():
     from chargraph.models import psl2_graph
 
     assert isomorphic_small(psl2_graph(7), PrimeGraph((2, 3, 7), [(2, 3)]))
+    # same order and size, different degree sequences: K1,3 against P4
+    star = PrimeGraph((2, 3, 5, 7), [(2, 3), (2, 5), (2, 7)])
+    path = PrimeGraph((2, 3, 5, 7), [(2, 3), (3, 5), (5, 7)])
+    assert not isomorphic_small(star, path)
+    # same degree sequence, no bijection: C6 against two disjoint triangles
+    six = (2, 3, 5, 7, 11, 13)
+    triangles = PrimeGraph(six, [(2, 3), (3, 5), (2, 5), (7, 11), (11, 13), (7, 13)])
+    assert not isomorphic_small(cycle_graph(six), triangles)
 
 
 def test_isomorphic_small_cap():

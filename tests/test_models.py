@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from chargraph.errors import BadParameter, ModelError, OutOfRange, VertexClash
+from chargraph.exactness import verify_hamilton_characterization
 from chargraph.graphs import PrimeGraph, complement, connected_components, induced_subgraph, join
 from chargraph import models
 from chargraph.models import (
@@ -24,7 +25,7 @@ from chargraph.models import (
 )
 from chargraph.numtheory import PrimePower, as_prime_power
 
-from oracles import brute_is_bipartite, brute_max_clique
+from oracles import brute_degree_graph, brute_factorize, brute_is_bipartite, brute_max_clique
 
 
 def complete_edges(primes):
@@ -94,6 +95,20 @@ def test_psl2_graph_accepts_prime_power_or_int():
         psl2_graph(6)
 
 
+def test_psl2_names_its_factoring_cap():
+    # PSL2 names its cap for q = 2^96 however it is asked for: q + 1 is past the factoring range
+    message = "PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {}"
+    cases = [
+        (lambda: PSL2(2**96), str(2**96)),
+        (lambda: PSL2(PrimePower(2, 96)), "2^96"),
+        (lambda: verify_hamilton_characterization(96), "2^96"),
+    ]
+    for build, shown in cases:
+        with pytest.raises(OutOfRange) as info:
+            build()
+        assert str(info.value) == message.format(shown)
+
+
 def test_psl2_graph_odd_general_structure():
     # q = 29: q-1 = 28 = 2^2*7, q+1 = 30 = 2*3*5; neither is a power of two
     g = psl2_graph(29)
@@ -148,6 +163,24 @@ def test_degree_oracle_agrees_with_constructor_small():
         if as_prime_power(q) is None:
             continue
         assert graph_from_degrees(psl2_degree_oracle(q)) == psl2_graph(q), q
+
+
+def _as_graph(g):
+    return g.vertices, g.sorted_edges()
+
+
+def test_psl2_graph_matches_the_brute_degree_graph():
+    # prime powers by trial division, so no library code picks the q checked
+    prime_powers = [q for q in range(4, 3000) if len(set(brute_factorize(q))) == 1]
+    for q in prime_powers:
+        assert _as_graph(psl2_graph(q)) == brute_degree_graph(psl2_degree_oracle(q).sorted()), q
+
+
+def test_suzuki_graph_matches_the_brute_degree_graph():
+    for m in range(1, 6):
+        q2, r = 2 ** (2 * m + 1), 2 ** (m + 1)
+        degrees = (1, q2 * q2, q2 * q2 + 1, (q2 - 1) * (q2 + r + 1), (q2 - 1) * (q2 - r + 1), r * (q2 - 1) // 2)
+        assert _as_graph(suzuki_graph(m)) == brute_degree_graph(degrees), m
 
 
 # --- solvable models ---
