@@ -8,7 +8,6 @@ Exit codes: 0 success (and every verification PASS), 1 verification FAIL,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -18,14 +17,13 @@ from typing import Any
 from .errors import ChargraphError, OutOfRange, TooLarge
 from .exactness import (
     HAMILTON_F_RANGE,
-    ExactnessReport,
     VerificationRecord,
     check_n_exact,
     verify_hamilton_characterization,
 )
-from .graphs import PrimeGraph, connected_components
+from .graphs import CycleWitness, PrimeGraph, connected_components
 from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
-from .search import ALPHA_CAP, find_alphas, sweep_models
+from .search import find_alphas, sweep_models
 
 DEFAULT_SUITE_NS = (4, 5, 6, 7)
 
@@ -72,22 +70,15 @@ def graph_to_dot(g: PrimeGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _encode(obj: Any) -> Any:
+    """A cycle as its vertices in order, any other library result as its own fields."""
+    if isinstance(obj, CycleWitness):
+        return obj.vertices_in_order
+    return vars(obj)
+
+
 def _dump_json(payload: Any) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-# hand-written, not dataclasses.asdict: on a 2-vCPU VM under Python 3.11,
-# asdict took 15-28 us a call against 0.5 us, 2-4% of a median analyze call
-def _report_to_dict(report: ExactnessReport) -> dict[str, Any]:
-    return {
-        "n": report.n,
-        "order": report.order,
-        "is_kn_free": report.is_kn_free,
-        "clique_witness": list(report.clique_witness) if report.clique_witness else None,
-        "odd_cycle": list(report.odd_cycle.vertices_in_order) if report.odd_cycle else None,
-        "verdict": report.verdict,
-        "extremal_class": report.extremal_class,
-    }
+    return json.dumps(payload, indent=2, sort_keys=True, default=_encode) + "\n"
 
 
 def _emit_graph(g: PrimeGraph, metadata: dict[str, Any], fmt: str, quiet: bool, summary: str) -> int:
@@ -148,7 +139,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     g, metadata = document_to_graph(doc)
     tagged = args.character_model or bool(metadata.get("model"))
     report = check_n_exact(g, args.n, character_model=tagged)
-    sys.stdout.write(_dump_json(_report_to_dict(report)))
+    sys.stdout.write(_dump_json(report))
     if not args.quiet:
         verdict = "n-exact" if report.verdict else "not n-exact"
         print(
@@ -158,18 +149,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _alpha_range(alpha_max: int) -> tuple[int, int]:
-    """(2, alpha_max) for search and verify.  The library accepts an empty
-    range; the CLI refuses it, so an empty sweep cannot print PASS."""
-    if alpha_max < 2:
-        raise OutOfRange(f"alpha range must lie within [2, {ALPHA_CAP}], got [2, {alpha_max}]")
-    return 2, alpha_max
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     k_target = {"n-3": args.n - 3, "n-2": args.n - 2, "n-1": args.n - 1}[args.k]
-    result = find_alphas(args.n, k_target, _alpha_range(args.alpha_max))
-    sys.stdout.write(_dump_json(dataclasses.asdict(result)))
+    result = find_alphas(args.n, k_target, (2, args.alpha_max))
+    sys.stdout.write(_dump_json(result))
     if not args.quiet:
         hits = [r.alpha for r in result.realizations]
         print(
@@ -183,7 +166,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not args.suite:
         raise ChargraphError("verify requires --suite")
-    alpha_range = _alpha_range(args.alpha_max)
+    alpha_range = (2, args.alpha_max)
     ns = [args.n] if args.n is not None else list(DEFAULT_SUITE_NS)
     records: list[VerificationRecord] = []
     for n in ns:
@@ -193,8 +176,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failures = [r for r in records if not r.passed]
     payload = {
         "n_values": ns,
-        "alpha_range": [2, args.alpha_max],
-        "records": [dataclasses.asdict(r) for r in records],
+        "alpha_range": alpha_range,
+        "records": records,
         "failures": len(failures),
         "passed": not failures,
     }

@@ -328,8 +328,6 @@ def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
     in canonical search order, so it starts at the least vertex."""
     if g.order > MAX_HAMILTON_VERTICES:
         raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {g.order}")
-    if g.order < 3:
-        return HamiltonResult(False, None)
     cycle = _first_cycle(g, g.order)
     return HamiltonResult(cycle is not None, cycle)
 

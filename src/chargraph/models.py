@@ -62,7 +62,7 @@ class PSL2:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # the graph factors q +- 1; checked before as_prime_power, whose refusal names neither PSL2 nor this cap
+        # the graph factors q +- 1; checked before _psl2_prime_power, so PSL2 names this cap for an int q too
         value = self.q.value if isinstance(self.q, PrimePower) else self.q
         if value + 1 >= FACTOR_LIMIT:
             raise OutOfRange(f"PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {self.q}")
@@ -78,7 +78,11 @@ def _psl2_prime_power(q: PrimePower | int) -> PrimePower:
     value = q.value if isinstance(q, PrimePower) else q
     if value < 4:  # before factoring, which would refuse q < 2 as out of range
         raise BadParameter(f"PSL2 needs q >= 4, got {value}")
-    prime_power = q if isinstance(q, PrimePower) else as_prime_power(value)
+    if isinstance(q, PrimePower):
+        return q
+    if value >= FACTOR_LIMIT:  # as_prime_power's own refusal names neither PSL2 nor this cap
+        raise OutOfRange(f"PSL2 reads an int q as a prime power only below 2**96, got q = {value}")
+    prime_power = as_prime_power(value)
     if prime_power is None:
         raise BadParameter(f"{value} is not a prime power")
     return prime_power

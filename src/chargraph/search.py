@@ -44,21 +44,22 @@ class SearchResult:
 
 
 def _check_alpha_range(alpha_range: tuple[int, int]) -> tuple[int, int]:
+    """(lo, hi), refused when empty (no vacuous pass) or outside [2, ALPHA_CAP]."""
     lo, hi = alpha_range
-    if lo < 2 or hi > ALPHA_CAP:
+    if lo < 2 or hi > ALPHA_CAP or hi < lo:
         raise OutOfRange(f"alpha range must lie within [2, {ALPHA_CAP}], got [{lo}, {hi}]")
     return lo, hi
 
 
 def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchResult:
     """All alpha in the range whose two prime-divisor counts both equal k_target."""
+    lo, hi = _check_alpha_range(alpha_range)
     if n < 4:
         raise BadParameter(f"n must be at least 4, got {n}")
     # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
     case = "/".join(c for (offset, _), c in _CASE_OF_SHAPE.items() if k_target - n == offset)
     if not case:
         raise BadParameter(f"k target must be one of n-3, n-2, n-1, got {k_target}")
-    lo, hi = _check_alpha_range(alpha_range)
     realizations = []
     near_misses = []
     for alpha in range(lo, hi + 1):
@@ -99,9 +100,9 @@ def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecor
     Each model is classified through classify_extremal_case and checked
     against the order bound, deciding it once.  Covered catalog cases are
     certificate-checked; a failed certificate surfaces as its own FAIL record."""
+    lo, hi = _check_alpha_range(alpha_range)
     if n < 4:
         raise BadParameter(f"n must be at least 4, got {n}")
-    lo, hi = _check_alpha_range(alpha_range)
     records: list[VerificationRecord] = []
     for alpha in range(lo, hi + 1):
         exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}

@@ -121,6 +121,33 @@ def test_model_graph_documents_match_the_recorded_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == "781fd68e1eba3e12004091fd53ebc3c03955b8bd370223772e895c942ac7340d"
 
 
+def test_analyze_and_search_documents_match_the_recorded_digest(tmp_path, capsys):
+    """The analyze reports on the PSL2(2^a) graph documents, a in 2..24, for
+    n in 4..9, tagged as `chargraph psl2` writes them and with the metadata
+    removed, then the search results for n in 4..9 at every k up to alpha 48,
+    pinned byte for byte."""
+    outs = []
+    for a in range(2, 25):
+        _, doc, _ = invoke(capsys, "--quiet", "psl2", str(2**a))
+        tagged = tmp_path / f"tagged{a}.json"
+        tagged.write_text(doc)
+        untagged = tmp_path / f"untagged{a}.json"
+        untagged.write_text(json.dumps({k: v for k, v in json.loads(doc).items() if k != "metadata"}))
+        for n in range(4, 10):
+            for path in (tagged, untagged):
+                outs.append(invoke(capsys, "--quiet", "analyze", "--n", str(n), "--input", str(path)))
+    for n in range(4, 10):
+        for k in ("n-3", "n-2", "n-1"):
+            outs.append(invoke(capsys, "--quiet", "search", "--n", str(n), "--k", k, "--alpha-max", "48"))
+    assert all(code == 0 for code, _, _ in outs)
+    reports = [json.loads(out) for _, out, _ in outs[:-18]]
+    # the reports cover both certificates and both extremal classes
+    assert any(r["clique_witness"] for r in reports) and any(r["odd_cycle"] for r in reports)
+    assert {"MinExtremal", "MaxExtremal"} <= {r["extremal_class"] for r in reports}
+    text = "".join(out for _, out, _ in outs)
+    assert hashlib.sha256(text.encode()).hexdigest() == "a072081c29f88e940a0d69bcb33f3c5e8532d9851c7392f49a2bfe5562859d57"
+
+
 def test_degrees_command(tmp_path, capsys):
     path = tmp_path / "degrees.txt"
     path.write_text("# PSL2(7) degrees\n1\n3\n6\n\n7\n8  # largest\n")
@@ -242,11 +269,15 @@ def test_range_error_exits_3(capsys):
     for m in (24, 30):  # q^4 + 1 = 2^(4m+2) + 1 passes the factorization cap from m = 24
         code, out, err = invoke(capsys, "--quiet", "suzuki", str(m))
         assert (code, out, err) == (3, "", f"error: Suzuki needs m <= 23, got {m}\n")
-    # the library sweeps an empty range; the CLI refuses one instead of a vacuous PASS
+    # the library refuses an empty range, so the suite cannot print a vacuous PASS
     code, out, err = invoke(capsys, "verify", "--suite", "--alpha-max", "1")
     assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 1]\n")
     code, out, err = invoke(capsys, "search", "--n", "5", "--k", "n-3", "--alpha-max", "0")
     assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 0]\n")
+    # the range is checked before n, in both commands
+    for argv in (("search", "--n", "3", "--k", "n-3"), ("verify", "--suite", "--n", "3")):
+        code, out, err = invoke(capsys, *argv, "--alpha-max", "91")
+        assert (code, out, err) == (3, "", "error: alpha range must lie within [2, 90], got [2, 91]\n")
 
 
 def test_size_cap_exits_3(tmp_path, capsys):

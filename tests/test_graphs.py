@@ -322,6 +322,7 @@ def test_hamilton_basics():
     assert not is_hamiltonian(PrimeGraph((2, 3), [(2, 3)])).is_hamiltonian
     assert is_hamiltonian(PrimeGraph(())) == (False, None)
     assert is_hamiltonian(PrimeGraph((2,))) == (False, None)
+    assert is_hamiltonian(PrimeGraph((2, 3))) == (False, None)
     # bipartite of even order: no odd cycle, yet Hamiltonian
     ok, cycle = is_hamiltonian(C4)
     assert ok and cycle.vertices_in_order == (2, 3, 5, 7)

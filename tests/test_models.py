@@ -266,6 +266,13 @@ def test_psl2_degree_oracle_does_not_build_the_graph_it_checks(monkeypatch):
     # nor does it need the factoring of q +- 1 that refuses PSL2(2^96)
     q = 2**96
     assert psl2_degree_oracle(PrimePower(2, 96)) == DegreeSet.of(1, q - 1, q, q + 1)
+    # an int q that large cannot be read as a prime power; the refusal names PSL2 and the cap
+    for value in (q, q + 1, 3**61):
+        with pytest.raises(OutOfRange) as info:
+            psl2_degree_oracle(value)
+        assert str(info.value) == f"PSL2 reads an int q as a prime power only below 2**96, got q = {value}"
+    # the largest power of 3 below the cap is still read
+    assert psl2_degree_oracle(3**60) == psl2_degree_oracle(PrimePower(3, 60))
     with pytest.raises(BadParameter, match=r"^6 is not a prime power$"):
         psl2_degree_oracle(6)
 

@@ -28,11 +28,17 @@ def test_find_alphas_n4_k1_fixed_list():
     assert result.near_misses == (4, 5, 7, 8)
 
 
+EMPTY_RANGE_MESSAGE = r"^alpha range must lie within \[2, 90\], got \[9, 8\]$"
+
+
 def test_find_alphas_empty_range():
-    result = find_alphas(5, 2, (9, 8))
-    assert result.realizations == ()
-    assert result.alpha_range == (9, 8)
-    assert find_alphas(5, 4, (9, 8)).case == "b.iii"
+    # an empty range is refused, not answered with no realizations
+    with pytest.raises(OutOfRange, match=EMPTY_RANGE_MESSAGE):
+        find_alphas(5, 2, (9, 8))
+    # before the n and k checks: the range rule comes first
+    with pytest.raises(OutOfRange, match=EMPTY_RANGE_MESSAGE):
+        find_alphas(3, 9, (9, 8))
+    assert find_alphas(5, 4, (8, 8)).case == "b.iii"
 
 
 def test_find_alphas_every_realization_hits_target():
@@ -104,7 +110,11 @@ def test_sweep_n4_abelian_only():
 
 
 def test_sweep_empty_range():
-    assert sweep_models(5, (9, 8)) == []
+    # an empty sweep is refused, not a vacuous pass with no records
+    with pytest.raises(OutOfRange, match=EMPTY_RANGE_MESSAGE):
+        sweep_models(5, (9, 8))
+    with pytest.raises(OutOfRange, match=EMPTY_RANGE_MESSAGE):
+        sweep_models(3, (9, 8))
 
 
 def test_sweep_records_are_deterministic():
