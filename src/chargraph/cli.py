@@ -11,21 +11,22 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
 from .errors import ChargraphError, OutOfRange, TooLarge
-from .exactness import (
-    HAMILTON_F_RANGE,
-    VerificationRecord,
-    check_n_exact,
-    verify_hamilton_characterization,
-)
+from .exactness import CATALOG, VerificationRecord, check_n_exact, verify_hamilton_characterization
 from .graphs import CycleWitness, PrimeGraph, connected_components
 from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
 from .search import find_alphas, sweep_models
 
 DEFAULT_SUITE_NS = (4, 5, 6, 7)
+# the exponents f of q = 2^f the verification suite checks the Hamilton
+# characterization for; the check itself takes any f >= 2 within the caps
+HAMILTON_F_RANGE = (2, 12)
+# the search --k choices, "n-3" -> -3 and on, in catalog order
+K_OFFSETS = {f"n{dk}": dk for dk, _, _ in CATALOG.values()}
 
 
 def graph_to_document(g: PrimeGraph, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -111,9 +112,18 @@ def _cmd_suzuki(args: argparse.Namespace) -> int:
     )
 
 
-def _parse_degree_file(path: Path) -> DegreeSet:
+def _read_input(path: str, parse: Callable[[str], Any] = str) -> Any:
+    """The UTF-8 text of an input file, parsed; text it cannot decode or
+    parse is a usage error, not a crash."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise ChargraphError(str(exc)) from None
+
+
+def _parse_degree_file(path: str) -> DegreeSet:
     degrees = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,7 +135,7 @@ def _parse_degree_file(path: Path) -> DegreeSet:
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:
-    degrees = _parse_degree_file(Path(args.file))
+    degrees = _parse_degree_file(args.file)
     g = graph_from_degrees(degrees)
     metadata = {"source": "degrees", "degree_count": len(degrees.degrees)}
     return _emit_graph(
@@ -135,8 +145,7 @@ def _cmd_degrees(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    g, metadata = document_to_graph(doc)
+    g, metadata = document_to_graph(_read_input(args.input, json.loads))
     tagged = args.character_model or bool(metadata.get("model"))
     report = check_n_exact(g, args.n, character_model=tagged)
     sys.stdout.write(_dump_json(report))
@@ -150,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    k_target = {"n-3": args.n - 3, "n-2": args.n - 2, "n-1": args.n - 1}[args.k]
+    k_target = args.n + K_OFFSETS[args.k]
     result = find_alphas(args.n, k_target, (2, args.alpha_max))
     sys.stdout.write(_dump_json(result))
     if not args.quiet:
@@ -196,8 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    g, metadata = document_to_graph(doc)
+    g, metadata = document_to_graph(_read_input(args.input, json.loads))
     return _emit_graph(g, metadata, args.format, args.quiet, f"{g.order} vertices, {g.size} edges")
 
 
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="exponents alpha realizing a prime-divisor count target")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", choices=("n-3", "n-2", "n-1"), required=True)
+    p.add_argument("--k", choices=tuple(K_OFFSETS), required=True)
     p.add_argument("--alpha-max", type=int, required=True)
     p.set_defaults(func=_cmd_search)
 
@@ -268,7 +276,7 @@ def run(argv=None) -> int:
     except (OutOfRange, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ChargraphError, OSError, json.JSONDecodeError) as exc:
+    except (ChargraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,13 +39,10 @@ MAX_EXTREMAL = "MaxExtremal"
 INTERIOR = "Interior"
 NOT_EXACT = "NotExact"
 
-# extremal catalog cases; "a" is the minimum order 2n-5 with abelian radical,
-# the "b" cases all have the maximum order 2n-1
-CASE_MIN_ABELIAN = "a"
-CASE_MAX_TWO_PAIRS = "b.i"
-CASE_MAX_ONE_PAIR = "b.ii"
-CASE_MAX_ABELIAN = "b.iii"
-CASE_NOT_COVERED = "not_covered"
+# the extremal catalog of PSL2(2^a) x R, k = |pi(2^a +- 1)|: case -> (k - n,
+# disconnected pairs in R counted by PAIRS_OF_LABEL, order - 2n); "a" has the
+# minimum order 2n-5 with abelian R, the "b" cases the maximum order 2n-1
+CATALOG = {"a": (-3, 0, -5), "b.i": (-3, 2, -1), "b.ii": (-2, 1, -1), "b.iii": (-1, 0, -1)}
 
 
 @dataclass(frozen=True)
@@ -81,6 +78,12 @@ class ExtremalCase:
     verified: bool | None
 
 
+def check_n_domain(n: int) -> None:
+    """Refuse an n outside the domain of n-exactness."""
+    if n < 4:
+        raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
+
+
 def check_n_exact(g: PrimeGraph, n: int, *, character_model: bool = False) -> ExactnessReport:
     """Decide n-exactness of g with certificates attached.
 
@@ -88,8 +91,7 @@ def check_n_exact(g: PrimeGraph, n: int, *, character_model: bool = False) -> Ex
     the 2n-1 ceiling is a fact about character graphs, not about arbitrary
     graphs.
     """
-    if n < 4:
-        raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
+    check_n_domain(n)
     if g.order > MAX_CYCLE_VERTICES:
         raise TooLarge(f"n-exact check is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
     free, clique_witness = is_kn_free(g, n)
@@ -168,15 +170,6 @@ def _order_bound_record(name: str, report: ExactnessReport, **extra: Any) -> Ver
     )
 
 
-# (k - n, number of disconnected pairs, counted by PAIRS_OF_LABEL) -> catalog case
-_CASE_OF_SHAPE = {
-    (-3, 0): CASE_MIN_ABELIAN,
-    (-3, 2): CASE_MAX_TWO_PAIRS,
-    (-2, 1): CASE_MAX_ONE_PAIR,
-    (-1, 0): CASE_MAX_ABELIAN,
-}
-
-
 def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """Match a product model against the extremal catalog.
 
@@ -184,14 +177,12 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     factor with abstract solvable factors.  With k the common size of
     pi(2^a - 1) and pi(2^a + 1) (AsymmetricPiSizes when they differ) and p
     the sum of PAIRS_OF_LABEL over the solvable factors (a C4Product counts
-    two): k = n-3 with p = 0 is case "a", with p = 2 "b.i"; k = n-2 with
-    p = 1 is "b.ii"; k = n-1 with p = 0 is "b.iii".  A k outside {n-3, n-2,
-    n-1} is not covered; a k inside it whose p does not fit is a ShapeMismatch.
-    Covered cases are verified on the spot: the graph must be n-exact with
-    the case's required order.
+    two), the case is the CATALOG row with this k - n and p.  A k - n in no
+    row is not covered; a k - n in some row whose p does not fit is a
+    ShapeMismatch.  Covered cases are verified on the spot: the graph must be
+    n-exact with the row's order.
     """
-    if n < 4:
-        raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
+    check_n_domain(n)
     if not isinstance(model, Product):
         raise ShapeMismatch("expected a product model")
     psl2_factors = [f for f in model.factors if isinstance(f, PSL2)]
@@ -211,15 +202,17 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
             f"|pi(2^{alpha} - 1)| = {k_minus} differs from |pi(2^{alpha} + 1)| = {k_plus}"
         )
     k = k_minus
-    if all(k - n != offset for offset, _ in _CASE_OF_SHAPE):
-        return ExtremalCase(CASE_NOT_COVERED, alpha, k, None, None, None)
+    # the rows at this k - n, by their number of pairs
+    rows = {p: (case, offset) for case, (dk, p, offset) in CATALOG.items() if dk == k - n}
+    if not rows:
+        return ExtremalCase("not_covered", alpha, k, None, None, None)
     pairs = sum(PAIRS_OF_LABEL[f.label] for f in rest)
-    case = _CASE_OF_SHAPE.get((k - n, pairs))
-    if case is None:
+    if pairs not in rows:
         raise ShapeMismatch(
             f"{pairs} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
         )
-    expected_order = 2 * n - 5 if case == CASE_MIN_ABELIAN else 2 * n - 1
+    case, offset = rows[pairs]
+    expected_order = 2 * n + offset
     report = check_n_exact(model_graph(model), n, character_model=True)
     return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
 
@@ -261,11 +254,6 @@ def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRec
         )
     records.append(_order_bound_record(name, report, **extra, case=case))
     return records
-
-
-# the exponents f of q = 2^f the verification suite checks the Hamilton
-# characterization for; the check itself takes any f >= 2 within the caps
-HAMILTON_F_RANGE = (2, 12)
 
 
 def verify_hamilton_characterization(f: int) -> VerificationRecord:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameter, OutOfRange
-from .exactness import _CASE_OF_SHAPE, VerificationRecord, _sweep_records
+from .exactness import CATALOG, VerificationRecord, _sweep_records, check_n_domain
 from .models import PSL2, Product, abelian, disconnected_pair
 from .numtheory import PrimePower, is_prime, prime_divisors
 
@@ -54,10 +54,9 @@ def _check_alpha_range(alpha_range: tuple[int, int]) -> tuple[int, int]:
 def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchResult:
     """All alpha in the range whose two prime-divisor counts both equal k_target."""
     lo, hi = _check_alpha_range(alpha_range)
-    if n < 4:
-        raise BadParameter(f"n must be at least 4, got {n}")
+    check_n_domain(n)
     # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
-    case = "/".join(c for (offset, _), c in _CASE_OF_SHAPE.items() if k_target - n == offset)
+    case = "/".join(c for c, (dk, _, _) in CATALOG.items() if k_target - n == dk)
     if not case:
         raise BadParameter(f"k target must be one of n-3, n-2, n-1, got {k_target}")
     realizations = []
@@ -101,8 +100,7 @@ def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecor
     against the order bound, deciding it once.  Covered catalog cases are
     certificate-checked; a failed certificate surfaces as its own FAIL record."""
     lo, hi = _check_alpha_range(alpha_range)
-    if n < 4:
-        raise BadParameter(f"n must be at least 4, got {n}")
+    check_n_domain(n)
     records: list[VerificationRecord] = []
     for alpha in range(lo, hi + 1):
         exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}

@@ -297,6 +297,35 @@ def test_missing_input_exits_2(capsys, tmp_path):
         assert re.fullmatch(r"error: .+\n", err), err
 
 
+def test_unreadable_input_files_exit_2(tmp_path, capsys):
+    """Input a command cannot decode or parse is a usage error: one error
+    line and exit 2, never a traceback with exit 1, the FAIL code."""
+    contents = {
+        "undecodable": b"\xff\xfe\n",
+        "nested": b"[" * 100000,  # deeper than the recursion limit
+        "long_int": b'{"vertices": [' + b"1" * 5000 + b"]}",  # past the int digit limit
+    }
+    calls = []
+    for name, content in contents.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        calls += [("analyze", "--n", "5", "--input", str(path)), ("export", "--input", str(path), "--format", "json")]
+    calls.append(("degrees", str(tmp_path / "undecodable")))
+    for argv in calls:
+        code, out, err = invoke(capsys, "--quiet", *argv)
+        assert (code, out) == (2, ""), argv
+        assert re.fullmatch(r"error: [^\n]+\n", err), (argv, err)
+
+
+def test_n_below_4_gives_one_message(tmp_path, capsys):
+    graph_file = tmp_path / "g.json"
+    graph_file.write_text(invoke(capsys, "--quiet", "psl2", "64")[1])
+    expected = (2, "", "error: n-exactness is defined for n >= 4, got 3\n")
+    assert invoke(capsys, "analyze", "--n", "3", "--input", str(graph_file)) == expected
+    assert invoke(capsys, "search", "--n", "3", "--k", "n-3", "--alpha-max", "12") == expected
+    assert invoke(capsys, "verify", "--suite", "--n", "3") == expected
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     # force a FAIL record through the sweep to check the exit path
     from chargraph import cli

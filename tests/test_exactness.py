@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from chargraph.cli import run
 from chargraph.errors import AsymmetricPiSizes, BadParameter, OutOfRange, ShapeMismatch, TooLarge
 from chargraph.exactness import (
+    CATALOG,
     alternating_cycle_witness,
     check_n_exact,
     classify_extremal_case,
@@ -14,6 +16,7 @@ from chargraph.exactness import (
 from chargraph.graphs import PrimeGraph, complement, is_hamiltonian, max_clique
 from chargraph.models import PSL2, Product, abelian, c4_product, disconnected_pair, model_graph, psl2_graph
 from chargraph.numtheory import PrimePower, prime_divisors
+from chargraph.search import find_alphas
 
 from oracles import brute_max_clique, brute_odd_cycle_exists
 
@@ -220,6 +223,30 @@ def test_case_b_iii_at_alpha_18():
     outcome = classify_extremal_case(Product((PSL2(PrimePower(2, 18)), abelian())), 5)
     assert outcome.case == "b.iii" and outcome.k == 4
     assert outcome.verified and outcome.report.order == 9
+
+
+def test_catalog_table_agrees_with_the_checker(capsys):
+    """Each CATALOG row, on the models above: the case, its order and its
+    extremal class, the search's case label and the search --k choices."""
+    pairs = (disconnected_pair("Type1", 11, 17), disconnected_pair("Type4", 19, 23))
+    models = {
+        "a": Product((PSL2(PrimePower(2, 6)), abelian())),
+        "b.i": Product((PSL2(PrimePower(2, 6)), *pairs)),
+        "b.ii": Product((PSL2(PrimePower(2, 14)), pairs[0])),
+        "b.iii": Product((PSL2(PrimePower(2, 18)), abelian())),
+    }
+    n = 5
+    assert list(models) == list(CATALOG)
+    for case, (dk, _, offset) in CATALOG.items():
+        outcome = classify_extremal_case(models[case], n)
+        assert (outcome.case, outcome.k, outcome.verified) == (case, n + dk, True)
+        assert outcome.expected_order == outcome.report.order == 2 * n + offset
+        assert (outcome.report.extremal_class == "MinExtremal") == (offset == -5)
+        same_k = "/".join(c for c, row in CATALOG.items() if row[0] == dk)
+        assert find_alphas(n, n + dk, (2, 20)).case == same_k
+    assert [find_alphas(n, n + dk, (2, 20)).case for dk in (-3, -2, -1)] == ["a/b.i", "b.ii", "b.iii"]
+    assert run(["search", "--help"]) == 0
+    assert "--k {n-3,n-2,n-1}" in capsys.readouterr().out
 
 
 def test_classification_error_paths_from_one_pair_model():
