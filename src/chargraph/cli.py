@@ -130,7 +130,15 @@ def _parse_degree_file(path: str) -> DegreeSet:
         try:
             degrees.append(int(line))
         except ValueError:
-            raise ChargraphError(f"{path}:{lineno}: not an integer: {line!r}") from None
+            digits = line[1:] if line[0] in "+-" else line
+            # int() refuses a decimal string only past the int-to-str digit limit
+            problem = (
+                f"more digits than Python's int-to-str limit ({sys.get_int_max_str_digits()})"
+                if digits.isdecimal()
+                else "not an integer"
+            )
+            echo = repr(line) if len(line) <= 40 else f"{line[:20]!r}... ({len(line)} characters)"
+            raise ChargraphError(f"{path}:{lineno}: {problem}: {echo}") from None
     return DegreeSet(frozenset(degrees))
 
 

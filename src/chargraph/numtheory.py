@@ -1,14 +1,16 @@
 """Prime machinery: primality testing, factorization, prime-power recognition.
 
-Factorization is exact for 2 <= n < 2**96: trial division by a sieved table of
-small primes, then Miller-Rabin primality plus Brent-cycle Pollard rho on what
-remains.  Larger inputs are rejected outright instead of risking unbounded
-runtime.
+Factorization is exact for 2 <= n < 2**96: one gcd with the product of a sieved
+table of small primes names the table primes that divide n, then Miller-Rabin
+primality plus Brent-cycle Pollard rho run on what remains.  Miller-Rabin uses
+only the prefix of prime bases proven for the input's size (OEIS A014233).
+Larger inputs are rejected outright instead of risking unbounded runtime.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,12 +29,20 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(10_000)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
-# The first 13 primes are a proven witness set below this bound (Sorenson-Webster);
-# past it a strong Lucas test is added, giving a Baillie-PSW-style check with no
-# known composite passing it anywhere near our 2**96 cap.
+# _PSI[k] is the least odd composite that passes Miller-Rabin to the first k + 1
+# bases (OEIS A014233; Jaeschke 1993, Sorenson-Webster 2017), so below it those
+# bases prove primality.  Past the last term a strong Lucas test is added, giving
+# a Baillie-PSW-style check with no known composite passing it anywhere near our
+# 2**96 cap.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_PSI = (
+    2047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
+    341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
 
 
 def _mr_passes(a: int, d: int, s: int, n: int) -> bool:
@@ -101,8 +111,12 @@ def _strong_lucas_passes(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for n below the proven Miller-Rabin bound (~3.3e24),
-    Miller-Rabin + strong Lucas above it."""
+    """Deterministic primality for n below the last A014233 term (~3.3e24),
+    Miller-Rabin + strong Lucas above it.
+
+    Miller-Rabin runs only the first k prime bases, k the least with n below
+    the k-th A014233 term: the bases proven for n's size.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -113,9 +127,9 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    if not all(_mr_passes(a, d, s, n) for a in _MR_BASES):
+    if not all(_mr_passes(a, d, s, n) for a in _MR_BASES[: bisect_right(_PSI, n) + 1]):
         return False
-    if n < _MR_PROVEN_BOUND:
+    if n < _PSI[-1]:
         return True
     if math.isqrt(n) ** 2 == n:
         return False
@@ -141,7 +155,7 @@ def _brent_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign flip of q leaves gcd(q, n) alone
                 g = math.gcd(q, n)
                 k += 128
             r <<= 1
@@ -150,7 +164,7 @@ def _brent_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
@@ -165,12 +179,20 @@ def factorize(n: int) -> tuple[int, ...]:
         raise OutOfRange(f"factorize requires 2 <= n < 2**96, got {n}")
     out: list[int] = []
     m = n
+    # g is the product of the table primes dividing n; past sqrt(g) it is one prime
+    g = math.gcd(m, _SMALL_PRODUCT)
     for p in _SMALL_PRIMES:
-        if p * p > m:
+        if p * p > g:
             break
-        while m % p == 0:
-            out.append(p)
-            m //= p
+        if g % p == 0:
+            g //= p
+            while m % p == 0:
+                out.append(p)
+                m //= p
+    if g > 1:
+        while m % g == 0:
+            out.append(g)
+            m //= g
     stack = [m] if m > 1 else []
     while stack:
         v = stack.pop()

@@ -160,9 +160,22 @@ def test_degrees_command(tmp_path, capsys):
 
 def test_degrees_command_bad_line(tmp_path, capsys):
     path = tmp_path / "degrees.txt"
-    path.write_text("1\nnope\n")
+    # a long line is echoed clipped, so the error stays one short line
+    for line, echo in (("nope", "'nope'"), ("x" * 5000, "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)")):
+        path.write_text(f"1\n{line}\n")
+        code, _, err = invoke(capsys, "--quiet", "degrees", str(path))
+        assert code == 2 and f"degrees.txt:2: not an integer: {echo}" in err
+        assert len(err) < 200
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit")
+def test_degrees_command_line_past_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "degrees.txt"
+    path.write_text("1\n" + "7" * (sys.get_int_max_str_digits() + 700) + "\n")
     code, _, err = invoke(capsys, "--quiet", "degrees", str(path))
-    assert code == 2 and "not an integer" in err
+    assert code == 2
+    assert f"degrees.txt:2: more digits than Python's int-to-str limit ({sys.get_int_max_str_digits()})" in err
+    assert len(err) < 200
 
 
 def test_analyze_command(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -8,6 +11,9 @@ from chargraph.errors import BadParameter, OutOfRange
 from chargraph.numtheory import (
     FACTOR_LIMIT,
     PrimePower,
+    _MR_BASES,
+    _PSI,
+    _mr_passes,
     _strong_lucas_passes,
     as_prime_power,
     factorize,
@@ -45,6 +51,33 @@ def test_factorize_cofactor_boundary():
     assert factorize((2**31 - 1) * (2**61 - 1)) == (2**31 - 1, 2**61 - 1)
 
 
+def test_factorize_products_of_table_primes_near_its_end():
+    # the gcd with the table product finds every table prime, the largest
+    # (9973) included, with its multiplicity, and leaves 10007 to the cofactor
+    for n in (
+        9949 * 9967 * 9973,
+        3**7 * 9973**2 * 10007,
+        9973**3,
+        2 * 9973,
+        9967**2 * 9973 * 10007**2,
+        2**10 * 9941 * 9949 * 9967 * 9973,
+    ):
+        assert list(factorize(n)) == brute_factorize(n), n
+
+
+def test_factorize_splits_2_to_the_2a_minus_1_as_its_two_halves():
+    for a in range(2, 48):
+        assert factorize(2 ** (2 * a) - 1) == tuple(sorted(factorize(2**a - 1) + factorize(2**a + 1))), a
+
+
+def test_prime_divisors_of_2_to_the_a_plus_minus_1_match_the_recorded_digest():
+    """Every factorization of 2^a - 1 and 2^a + 1 for a in 2..90, the range the
+    catalog sweeps, pinned byte for byte; above the last A014233 term the
+    strong Lucas test takes part too."""
+    text = json.dumps([[a, list(prime_divisors(2**a - 1)), list(prime_divisors(2**a + 1))] for a in range(2, 91)])
+    assert hashlib.sha256(text.encode()).hexdigest() == "7e03663ceb3c7a5f039c6e3c918618854761379ab984c3cabdc715bed72313de"
+
+
 def test_factorize_matches_oracle_small():
     for n in range(2, 2000):
         assert list(factorize(n)) == brute_factorize(n)
@@ -79,7 +112,10 @@ def test_prime_divisors_multiplicative_on_coprime_pairs(a, b):
 
 
 def test_is_prime_matches_oracle():
-    for n in range(-3, 5000):
+    # and around the A014233 terms where Miller-Rabin goes from one base to
+    # two, two to three and three to four
+    windows = [range(psi - 100, psi + 101) for psi in _PSI[:3]]
+    for n in itertools.chain(range(-3, 5000), *windows):
         assert is_prime(n) == brute_is_prime(n), n
 
 
@@ -88,6 +124,36 @@ def test_is_prime_large_values():
     assert not is_prime(2**89 + 1)
     assert is_prime((1 << 61) - 1)
     assert not is_prime((1 << 61) - 3)
+
+
+# the base-2 strong pseudoprimes below 10^5 (OEIS A001262)
+BASE_2_STRONG_PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799,
+    49141, 52633, 65281, 74665, 80581, 85489, 88357, 90751,
+)
+
+
+def mr_passes(a, n):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return _mr_passes(a, d, s, n)
+
+
+def test_psi_terms_are_composites_passing_the_bases_they_bound():
+    # _PSI[k] is a composite that passes the first k + 1 bases, and is_prime
+    # refuses it, so the prefix it runs reaches past them
+    assert len(_PSI) == len(_MR_BASES) and list(_PSI) == sorted(_PSI)
+    for k, psi in enumerate(_PSI):
+        assert all(mr_passes(a, psi) for a in _MR_BASES[: k + 1]), psi
+        assert not is_prime(psi), psi
+
+
+def test_is_prime_refuses_the_base_2_strong_pseudoprimes():
+    assert [n for n in range(3, 10**5, 2) if mr_passes(2, n) and not brute_is_prime(n)] == list(
+        BASE_2_STRONG_PSEUDOPRIMES
+    )
+    assert not any(is_prime(n) for n in BASE_2_STRONG_PSEUDOPRIMES)
 
 
 # the strong Lucas pseudoprimes below 60000 (OEIS A217255)
