@@ -267,7 +267,7 @@ def verify_hamilton_characterization(f: int) -> VerificationRecord:
     q = 2**f
     comp = complement(psl2_graph(PrimePower(2, f)))
     bipartite = is_bipartite(comp)
-    hamilton = is_hamiltonian(comp)
+    hamilton = is_hamiltonian(comp, _bipartite=bipartite)  # one walk answers both
     graph_side = (not bipartite.is_bipartite) and hamilton.is_hamiltonian
     k_minus = len(prime_divisors(q - 1))
     k_plus = len(prime_divisors(q + 1))

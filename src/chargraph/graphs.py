@@ -6,14 +6,18 @@ A graph is stored once, as per-vertex adjacency bitmasks over its ascending
 vertex tuple, and every search reads those masks.  The public constructor
 validates its input (prime vertices, no loops, known endpoints);
 complement, induced_subgraph and join derive their masks from graphs that
-already passed it, so they skip that validation.
+already passed it, so they skip that validation.  join is n-ary: it merges
+the vertices of all its graphs once and moves each graph's mask bits through
+one table per graph, the table induced_subgraph uses too.
 
 One clique search in lexicographic order, with no second pass, gives the
-least maximum clique, and bounded from below it decides K_n-freeness.  One
-pruned depth-first cycle search serves both cycle questions: an odd cycle
-of length at least a target, and a cycle through every vertex.  Components
-reuse that search's reachability walk, and bipartiteness is one
-breadth-first walk that stops at the first conflict.
+least maximum clique, and bounded from below it decides K_n-freeness; it
+colors its candidates one class at a time, as bitsets.  One pruned
+depth-first cycle search serves both cycle questions: an odd cycle of length
+at least a target, and a cycle through every vertex.  Components reuse that
+search's reachability walk, and bipartiteness is one breadth-first walk that
+stops at the first conflict; the cycle search starts from its answer, which
+a caller that also needs it can hand to the Hamilton search.
 
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
@@ -169,30 +173,49 @@ def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
         raise UnknownVertex(f"vertices {missing} are not in the graph")
     verts = tuple(sorted(sub))
     old = [g._index[v] for v in verts]
-    new_of = {i: k for k, i in enumerate(old)}
-    keep = sum(1 << i for i in old)
-    return PrimeGraph._trusted(verts, (_relabel(g._adj[i] & keep, new_of) for i in old))
+    bit = [0] * g.order  # a vertex outside the subset maps to no bit
+    for k, i in enumerate(old):
+        bit[i] = 1 << k
+    return PrimeGraph._trusted(verts, _relabel_masks((g._adj[i] for i in old), bit))
 
 
-def join(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
-    """Disjoint union plus every cross edge."""
-    overlap = set(g1.vertices) & set(g2.vertices)
+def join(*graphs: PrimeGraph) -> PrimeGraph:
+    """Disjoint union of the graphs plus every edge between two of them.
+
+    The vertices are merged once, and each graph's masks are relabeled
+    through its own table of new bits.  Empty graphs add nothing and are
+    skipped; a single non-empty graph is returned as it is, since graphs
+    are immutable."""
+    graphs = tuple(g for g in graphs if g.order)
+    if len(graphs) < 2:
+        return graphs[0] if graphs else PrimeGraph._trusted((), ())
+    verts = tuple(sorted(itertools.chain.from_iterable(g.vertices for g in graphs)))
+    # sorting puts a vertex held by several graphs next to its copies
+    overlap = sorted({a for a, b in zip(verts, verts[1:]) if a == b})
     if overlap:
-        raise VertexClash(f"vertex sets overlap on {sorted(overlap)}")
-    verts = tuple(sorted(g1.vertices + g2.vertices))
+        raise VertexClash(f"vertex sets overlap on {overlap}")
     index = {v: k for k, v in enumerate(verts)}
+    full = (1 << len(verts)) - 1
     adj = [0] * len(verts)
-    for g, other in ((g1, g2), (g2, g1)):
-        new_of = [index[v] for v in g.vertices]
-        cross = sum(1 << index[v] for v in other.vertices)
-        for i, mask in enumerate(g._adj):
-            adj[new_of[i]] = _relabel(mask, new_of) | cross
+    for g in graphs:
+        bit = [1 << index[v] for v in g.vertices]
+        cross = full ^ sum(bit)
+        for v, mask in zip(g.vertices, _relabel_masks(g._adj, bit)):
+            adj[index[v]] = mask | cross
     return PrimeGraph._trusted(verts, adj)
 
 
-def _relabel(mask: int, new_of) -> int:
-    """The mask with each bit i moved to bit new_of[i]."""
-    return sum(1 << new_of[i] for i in _bits(mask))
+def _relabel_masks(masks: Iterable[int], bit: list[int]) -> list[int]:
+    """Each mask with every set bit i replaced by the one-bit mask bit[i]."""
+    out = []
+    for mask in masks:
+        new = 0
+        while mask:
+            low = mask & -mask
+            new |= bit[low.bit_length() - 1]
+            mask ^= low
+        out.append(new)
+    return out
 
 
 def _bits(mask: int):
@@ -206,14 +229,17 @@ def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
     """max_clique(g) when it has more than floor vertices, else ().
 
     One branch and bound, in lexicographic order.  At each node the
-    candidates are greedy-colored from the highest vertex down, so the
-    classes in use once v is colored bound the clique that v and the
-    candidates above it can add.  Candidates branch in ascending order, and
-    the node returns at the first v whose bound cannot beat the best size,
-    since the bound only shrinks as v grows.  The search starts with floor
-    as its best size and meets cliques in lexicographic order; a prefix of
-    the least maximum clique K is cut only when an earlier clique already
-    has K's size, and none has, so the first maximum clique recorded is K.
+    candidates are greedy-colored one class at a time, as bitsets: a class
+    takes, from the highest remaining vertex down, every vertex with no
+    neighbor already in it.  These are the classes of first-fit coloring
+    from the highest vertex down, and the classes whose top vertex is at or
+    above v bound the clique that v and the candidates above it can add.
+    Candidates branch in ascending order, and the node returns at the first
+    v whose bound cannot beat the best size, since the bound only shrinks as
+    v grows.  The search starts with floor as its best size and meets
+    cliques in lexicographic order; a prefix of the least maximum clique K
+    is cut only when an earlier clique already has K's size, and none has,
+    so the first maximum clique recorded is K.
     """
     if g.order > MAX_CLIQUE_VERTICES:
         raise TooLarge(f"clique search is capped at {MAX_CLIQUE_VERTICES} vertices, got {g.order}")
@@ -226,26 +252,30 @@ def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
             if size > best:
                 best, best_mask = size, chosen
             return
-        classes: list[int] = []
-        colored: list[tuple[int, int]] = []  # (vertex, bound), highest vertex first
+        tops: list[int] = []  # the top vertex of each color class, descending
         rest = cand
         while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            for c, cls in enumerate(classes):
-                if not adj[v] & cls:
-                    classes[c] |= 1 << v
-                    break
-            else:
-                classes.append(1 << v)
-            colored.append((v, len(classes)))
-        for v, bound in reversed(colored):
+            tops.append(rest.bit_length() - 1)
+            avail = rest
+            while avail:
+                v = avail.bit_length() - 1
+                avail &= ~adj[v] ^ (1 << v)  # drop v and its neighbors
+                rest ^= 1 << v
+        bound = len(tops)  # classes whose top is at or above the next candidate
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            while tops[bound - 1] < v:
+                bound -= 1
             if size + bound <= best:
                 return
-            cand ^= 1 << v
-            expand(size + 1, chosen | 1 << v, cand & adj[v])
+            cand ^= low
+            expand(size + 1, chosen | low, cand & adj[v])
 
     expand(0, 0, (1 << g.order) - 1)
+    # expand refers to itself through its closure; dropping the name frees it
+    # at once, not in a later pass of the cycle collector
+    del expand
     return tuple(g.vertices[i] for i in _bits(best_mask))
 
 
@@ -320,19 +350,22 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
     if min_length > g.order:
         return None
-    return _first_cycle(g, min_length)
+    return _first_cycle(g, min_length, is_bipartite(g))
 
 
-def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
+def is_hamiltonian(g: PrimeGraph, *, _bipartite: BipartiteResult | None = None) -> HamiltonResult:
     """Exact Hamiltonian-cycle search: the first cycle through all vertices
-    in canonical search order, so it starts at the least vertex."""
+    in canonical search order, so it starts at the least vertex.
+
+    _bipartite is library-internal: a caller that also needs is_bipartite(g)
+    passes its result, so that the walk runs once."""
     if g.order > MAX_HAMILTON_VERTICES:
         raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {g.order}")
-    cycle = _first_cycle(g, g.order)
+    cycle = _first_cycle(g, g.order, is_bipartite(g) if _bipartite is None else _bipartite)
     return HamiltonResult(cycle is not None, cycle)
 
 
-def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
+def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> CycleWitness | None:
     """First simple cycle of length >= min_length and of the same parity as
     min_length, in canonical search order (ascending least vertex, then
     ascending neighbor), or None.
@@ -349,10 +382,10 @@ def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
       of it is free, and a start with a lower twin is skipped.
     At min_length = order only start 0 is tried, and the first two rules cut
     exactly when some unvisited vertex is cut off from the path's end or has
-    fewer than two usable neighbors.  A bipartite graph is answered before
-    the search: its cycles are even, each at most twice its smaller part.
+    fewer than two usable neighbors.  A bipartite graph, as bipartite
+    (is_bipartite(g)) tells, is answered before the search: its cycles are
+    even, each at most twice its smaller part.
     """
-    bipartite = is_bipartite(g)
     if bipartite.is_bipartite and (min_length % 2 or min_length > 2 * min(map(len, bipartite.parts))):
         return None
     verts, adj = g.vertices, g._adj
@@ -384,6 +417,7 @@ def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
         return False
 
     full = (1 << n) - 1
+    cycle = None
     for s in range(n):
         if n - s < min_length:
             break
@@ -393,8 +427,10 @@ def _first_cycle(g: PrimeGraph, min_length: int) -> CycleWitness | None:
         path.clear()
         path.append(s)
         if dfs(s, s, 1 << s, allowed, 1):
-            return CycleWitness(tuple(verts[i] for i in path))
-    return None
+            cycle = CycleWitness(tuple(verts[i] for i in path))
+            break
+    del dfs  # see _max_clique_above
+    return cycle
 
 
 def _reach(adj: tuple[int, ...], seed: int, within: int) -> int:

@@ -11,14 +11,15 @@ graph, whose vertices are its degree primes; the label fixes the graph:
 empty for Abelian, two non-adjacent primes for Type1/Type4, the 4-cycle for
 C4Product.  PAIRS_OF_LABEL counts the disconnected groups each label is a
 product of, the count the extremal catalog sorts by.  A direct product is
-flat, its factors none of them a product, and holds the join of their graphs.
+flat, its factors none of them a product, and holds one join of the graphs
+of the factors it was given, so a product factor's graph is reused.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Union
 
 from .errors import BadParameter, ModelError, OutOfRange
@@ -142,18 +143,20 @@ class Product:
 
     A product is flat: the direct product is associative, so the factors of
     a Product factor are spliced into the factor list, and a nested product
-    equals, hashes and describes as its flat form."""
+    equals, hashes and describes as its flat form.  Join is associative too,
+    so the graph is the join of the given factors' graphs."""
 
     factors: tuple[CharModel, ...]
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # a Product factor is already flat, so one level of splicing suffices
-        factors = tuple(leaf for f in self.factors for leaf in (f.factors if isinstance(f, Product) else (f,)))
-        object.__setattr__(self, "factors", factors)
-        if not factors:
+        given = tuple(self.factors)
+        if not given:
             raise BadParameter("a product needs at least one factor")
-        object.__setattr__(self, "graph", reduce(join, map(model_graph, factors)))
+        object.__setattr__(self, "graph", join(*map(model_graph, given)))
+        # a Product factor is already flat, so one level of splicing suffices
+        factors = tuple(leaf for f in given for leaf in (f.factors if isinstance(f, Product) else (f,)))
+        object.__setattr__(self, "factors", factors)
 
 
 CharModel = Union[PSL2, Suzuki, AbstractSolvable, Product]
@@ -181,9 +184,21 @@ def graph_from_degrees(degrees: DegreeSet) -> PrimeGraph:
 
 def _clique_union(*cliques: tuple[int, ...]) -> PrimeGraph:
     """The graph on the primes of the cliques, two primes adjacent when some
-    clique holds both."""
-    edges = (edge for clique in cliques for edge in itertools.combinations(clique, 2))
-    return PrimeGraph(itertools.chain.from_iterable(cliques), edges)
+    clique holds both.
+
+    Every clique holds primes already proven by is_prime: prime_divisors
+    output, 2, or the base of a PrimePower.  So the masks are built
+    directly, each vertex's the OR of the cliques that hold it, without it."""
+    verts = tuple(sorted(set(itertools.chain.from_iterable(cliques))))
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [0] * len(verts)
+    for clique in cliques:
+        mask = 0
+        for p in clique:
+            mask |= 1 << index[p]
+        for p in clique:
+            adj[index[p]] |= mask
+    return PrimeGraph._trusted(verts, [mask & ~(1 << i) for i, mask in enumerate(adj)])
 
 
 def psl2_graph(q: PrimePower | int) -> PrimeGraph:

@@ -109,6 +109,15 @@ def test_suite_json_matches_the_recorded_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "51ad29eb39a34977abfc7407c323ca79f8173b8ad444344dc2dd2c416f2066b1"
 
 
+def test_suite_json_for_larger_n_matches_the_recorded_digest(capsys):
+    """The suite documents for n in 8..13 up to alpha 48, concatenated, are
+    pinned byte for byte: larger n reach larger clique and cycle searches."""
+    outs = [invoke(capsys, "--quiet", "verify", "--suite", "--n", str(n), "--alpha-max", "48") for n in range(8, 14)]
+    assert all(code == 0 for code, _, _ in outs)
+    text = "".join(out for _, out, _ in outs)
+    assert hashlib.sha256(text.encode()).hexdigest() == "e1ffdea9024282178453a17e925c7976318ae26f6d7bed493e626b98090c43f2"
+
+
 def test_model_graph_documents_match_the_recorded_digest():
     """The PSL2 graphs for q = 2^a, a in 2..90, and for the odd prime powers
     7 <= q < 2000, and the Suzuki graphs for m in 1..23, pinned byte for byte

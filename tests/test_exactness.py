@@ -13,7 +13,7 @@ from chargraph.exactness import (
     verify_hamilton_characterization,
     verify_order_bound,
 )
-from chargraph.graphs import PrimeGraph, complement, is_hamiltonian, max_clique
+from chargraph.graphs import PrimeGraph, complement, is_bipartite, is_hamiltonian, max_clique
 from chargraph.models import PSL2, Product, abelian, c4_product, disconnected_pair, model_graph, psl2_graph
 from chargraph.numtheory import PrimePower, prime_divisors
 from chargraph.search import find_alphas
@@ -326,6 +326,28 @@ def test_hamilton_characterization_details():
     assert record.details["hamiltonian"]
     record = verify_hamilton_characterization(12)
     assert not record.details["balanced"] and not record.details["hamiltonian"]
+
+
+def test_hamilton_characterization_walks_its_graph_once(monkeypatch):
+    from chargraph import exactness, graphs
+
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return is_bipartite(g)
+
+    monkeypatch.setattr(exactness, "is_bipartite", counting)
+    monkeypatch.setattr(graphs, "is_bipartite", counting)
+    for f in range(2, 13):
+        calls.clear()
+        record = verify_hamilton_characterization(f)
+        assert len(calls) == 1 and record.passed, f
+    monkeypatch.undo()
+    # a caller's bipartite result gives the answer is_hamiltonian finds alone
+    for f in range(2, 13):
+        comp = complement(psl2_graph(2**f))
+        assert is_hamiltonian(comp, _bipartite=is_bipartite(comp)) == is_hamiltonian(comp)
 
 
 def test_hamilton_characterization_range():

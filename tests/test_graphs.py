@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -151,6 +152,24 @@ def test_join_associative_and_commutative_on_small_instances():
     assert join(g1, g2) == join(g2, g1)
 
 
+def test_join_of_many_graphs():
+    g1 = PrimeGraph((2, 13), [(2, 13)])
+    g2 = PrimeGraph((5, 7, 17), [(5, 17)])
+    g3 = PrimeGraph((3, 11))
+    empty = PrimeGraph(())
+    joined = join(g1, g2, g3)
+    assert joined == join(join(g1, g2), g3) == join(g3, join(g2, g1))
+    assert joined.size == g1.size + g2.size + g3.size + 2 * 3 + 2 * 2 + 3 * 2
+    # empty graphs add nothing; a single non-empty graph comes back as it is
+    assert join(empty, g1, empty, g2, g3) == joined
+    assert join(empty, g2) is g2 and join(g2) is g2
+    assert join(empty, empty) == join() == empty
+    with pytest.raises(VertexClash, match=r"^vertex sets overlap on \[3, 7\]$"):
+        join(PrimeGraph((2, 3)), PrimeGraph((5, 7)), PrimeGraph((3, 7, 11)))
+    with pytest.raises(VertexClash, match=r"^vertex sets overlap on \[5\]$"):
+        join(PrimeGraph((5,)), empty, PrimeGraph((3, 5)), PrimeGraph((5, 7)))
+
+
 # --- cliques ---
 
 
@@ -196,6 +215,37 @@ def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():
     k32_32 = join(PrimeGraph(primes[::2]), PrimeGraph(primes[1::2]))
     assert is_kn_free(k32_32, 3) == (True, None)
     assert is_kn_free(k32_32, 2) == (False, (2, 3))
+
+
+def test_clique_searches_match_the_recorded_digest():
+    # max_clique and is_kn_free witnesses at several n over a fixed family of
+    # random graphs on 1-45 vertices, so a change to the coloring or the
+    # branching order that moves any witness shows here
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:45]
+    rng = random.Random(2011)
+    lines = []
+    for _ in range(240):
+        verts = primes[: rng.randint(1, 45)]
+        density = rng.choice((0.2, 0.4, 0.6, 0.8, 0.9))
+        g = PrimeGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < density])
+        lines.append(repr((max_clique(g), [tuple(is_kn_free(g, n)) for n in (2, 3, 5, 8, 12)])))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "88603996cd1a95e8c4967400ed7ab5edb99d4ba307b43f16c25b922889ed33c1"
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the recursive searches are closures that refer to themselves; each is
+    # freed on return, so no search leaves work for the cycle collector
+    graphs = [C5, complete_graph(PRIMES6), cycle_graph(PRIMES6), join(C4, PrimeGraph((17, 19)))]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            max_clique(g), is_kn_free(g, 3), is_hamiltonian(g)
+            longest_odd_cycle_at_least(g, 3), longest_odd_cycle_at_least(g, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 PRIMES12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

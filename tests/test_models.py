@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from chargraph.models import (
     psl2_graph,
     suzuki_graph,
 )
-from chargraph.numtheory import PrimePower, as_prime_power
+from chargraph.numtheory import PrimePower, as_prime_power, prime_divisors
 
 from oracles import brute_degree_graph, brute_factorize, brute_is_bipartite, brute_max_clique
 
@@ -285,6 +286,17 @@ def test_product_join_with_abelian_is_identity():
     assert model_graph(model) == psl2_graph(4)
 
 
+def test_product_joins_the_graphs_it_is_given():
+    psl2 = PSL2(PrimePower(2, 6))
+    pair, other = disconnected_pair("Type1", 11, 17), disconnected_pair("Type4", 19, 23)
+    # the abelian factor adds no vertex, so the model holds the PSL2 graph itself
+    assert Product((psl2, abelian())).graph is psl2.graph
+    one_pair = Product((psl2, pair))
+    two_pairs = Product((one_pair, other))
+    assert two_pairs.factors == (psl2, pair, other)
+    assert two_pairs.graph == join(psl2.graph, pair.graph, other.graph) == join(one_pair.graph, other.graph)
+
+
 def test_product_one_pair_spec_example():
     model = Product((PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17)))
     g = model_graph(model)
@@ -380,3 +392,26 @@ def test_psl2_model_validation():
         PSL2(PrimePower(3, 1))
     with pytest.raises(BadParameter):
         Suzuki(0)
+
+
+def validated_union(*cliques):
+    """The clique union built through the validating constructor."""
+    edges = [edge for clique in cliques for edge in itertools.combinations(clique, 2)]
+    return PrimeGraph(itertools.chain.from_iterable(cliques), edges)
+
+
+def test_clique_unions_equal_their_validated_builds():
+    odd = [q for q in range(7, 2000, 2) if as_prime_power(q) is not None]
+    for q in [2**a for a in range(2, 91)] + odd:
+        p = as_prime_power(q).base
+        assert psl2_graph(q) == validated_union((p,), prime_divisors(q - 1), prime_divisors(q + 1)), q
+    for m in range(1, 24):
+        q2 = 2 ** (2 * m + 1)
+        pi_small = prime_divisors(q2 - 1)
+        assert suzuki_graph(m) == validated_union((2, *pi_small), pi_small + prime_divisors(q2 * q2 + 1)), m
+    rng = random.Random(5)
+    for _ in range(300):
+        degrees = DegreeSet.of(1, *(rng.randint(1, 10**6) for _ in range(rng.randint(0, 8))))
+        built = graph_from_degrees(degrees)
+        assert built == validated_union(*map(prime_divisors, degrees.sorted())), degrees
+        assert built._index == {v: i for i, v in enumerate(built.vertices)}
