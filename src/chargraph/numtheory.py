@@ -1,10 +1,15 @@
 """Prime machinery: primality testing, factorization, prime-power recognition.
 
-Factorization is exact for 2 <= n < 2**96: one gcd with the product of a sieved
-table of small primes names the table primes that divide n, then Miller-Rabin
-primality plus Brent-cycle Pollard rho run on what remains.  Miller-Rabin uses
-only the prefix of prime bases proven for the input's size (OEIS A014233).
-Larger inputs are rejected outright instead of risking unbounded runtime.
+Factorization is exact for 2 <= n < 2**96.  A number 2^m - 1 or 2^m + 1 is
+first split algebraically into the cyclotomic values Phi_d(2), each Phi_4e(2)
+with e odd further into its two Aurifeuillian halves, and the pieces are
+factored through the same cache (Brillhart et al., Factorizations of b^n +- 1,
+1983).  Any other number, and every piece, is factored generically: one gcd with
+the product of a sieved table of small primes names the table primes that
+divide it, then Miller-Rabin primality plus Brent-cycle Pollard rho run on what
+remains.  Miller-Rabin uses only the prefix of prime bases proven for the
+input's size (OEIS A014233).  Larger inputs are rejected outright instead of
+risking unbounded runtime.
 """
 
 from __future__ import annotations
@@ -169,14 +174,55 @@ def _brent_rho(n: int) -> int:
             return g
 
 
+def _binomial_pieces(n: int) -> list[int]:
+    """Factors > 1 of n whose product is n: the values Phi_d(2) for n = 2^m - 1
+    (d | m) or n = 2^m + 1 (d | 2m, d not dividing m), each Phi_d(2) with
+    d = 4e, e odd, split by its gcd with the Aurifeuillian factor
+    2^e - 2^((e+1)/2) + 1 of 2^(2e) + 1; [n] for any other n."""
+    m = n.bit_length()
+    if n & (n + 1) == 0:  # n = 2^m - 1 = prod Phi_d(2) over d | m
+        top, drop = m, 0
+    elif n > 2 and (n - 1) & (n - 2) == 0:  # n = 2^(m-1) + 1 = (2^top - 1) / (2^drop - 1)
+        top, drop = 2 * (m - 1), m - 1
+    else:
+        return [n]
+    phi: dict[int, int] = {}  # Phi_k(2) for each divisor k of top reached so far
+    pieces: list[int] = []
+    for d in range(1, top + 1):
+        if top % d:
+            continue
+        phi[d] = (2**d - 1) // math.prod(v for k, v in phi.items() if d % k == 0)
+        if drop and drop % d == 0:
+            continue
+        if d % 8 == 4:
+            e = d // 4
+            g = math.gcd(phi[d], 2**e - 2 ** ((e + 1) // 2) + 1)
+            pieces += (g, phi[d] // g)
+        else:
+            pieces.append(phi[d])
+    return [v for v in pieces if v > 1]
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[int, ...]:
     """Prime factors of n with multiplicity, ascending.
 
+    n = 2^m +- 1 is factored piece by piece (`_binomial_pieces`), each piece
+    through this cache, so pieces that 2^a - 1, 2^a + 1 and 2^(2a) - 1 share
+    are factored once; other n go to `_factor_generic`.
     Raises OutOfRange unless 2 <= n < 2**96.
     """
     if n < 2 or n >= FACTOR_LIMIT:
         raise OutOfRange(f"factorize requires 2 <= n < 2**96, got {n}")
+    pieces = _binomial_pieces(n)
+    if len(pieces) > 1:
+        return tuple(sorted(p for piece in pieces for p in factorize(piece)))
+    return _factor_generic(n)
+
+
+def _factor_generic(n: int) -> tuple[int, ...]:
+    """Prime factors of n >= 2 with multiplicity, ascending: the table primes
+    from one gcd, then Brent rho on the cofactor."""
     out: list[int] = []
     m = n
     # g is the product of the table primes dividing n; past sqrt(g) it is one prime

@@ -118,6 +118,23 @@ def test_suite_json_for_larger_n_matches_the_recorded_digest(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == "e1ffdea9024282178453a17e925c7976318ae26f6d7bed493e626b98090c43f2"
 
 
+def test_suzuki_23_document_matches_the_recorded_digest_under_two_hash_seeds():
+    """The Suzuki(2^47) graph document, pinned byte for byte in fresh
+    interpreters under two hash seeds, as the CI console-script step pins it.
+    Its 2^94 + 1 lies past the alpha range and factors without rho only
+    through the Aurifeuillian split."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", "--quiet", "suzuki", "23"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "fe570cc701f0ff7c97693d60c4abc71b63f1381ca704c3a2da9bc63ddb198672", seed
+
+
 def test_model_graph_documents_match_the_recorded_digest():
     """The PSL2 graphs for q = 2^a, a in 2..90, and for the odd prime powers
     7 <= q < 2000, and the Suzuki graphs for m in 1..23, pinned byte for byte

@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chargraph.errors import BadParameter, OutOfRange
+from chargraph import numtheory
 from chargraph.numtheory import (
     FACTOR_LIMIT,
     PrimePower,
     _MR_BASES,
     _PSI,
+    _binomial_pieces,
+    _factor_generic,
     _mr_passes,
     _strong_lucas_passes,
     as_prime_power,
@@ -68,6 +71,56 @@ def test_factorize_products_of_table_primes_near_its_end():
 def test_factorize_splits_2_to_the_2a_minus_1_as_its_two_halves():
     for a in range(2, 48):
         assert factorize(2 ** (2 * a) - 1) == tuple(sorted(factorize(2**a - 1) + factorize(2**a + 1))), a
+
+
+# every 2^m - 1 and 2^m + 1 in the factoring range, then the Suzuki numbers
+# 2^(2m+1) - 1 and 2^(4m+2) + 1 for m <= 23 (the latter reach the Aurifeuillian split)
+BINOMIALS = [2**m - 1 for m in range(2, 97)] + [2**m + 1 for m in range(0, 96)]
+SUZUKI_NUMBERS = [v for m in range(1, 24) for v in (2 ** (2 * m + 1) - 1, 2 ** (4 * m + 2) + 1)]
+
+
+def test_binomial_pieces_multiply_back_to_n():
+    for n in BINOMIALS + SUZUKI_NUMBERS:
+        pieces = _binomial_pieces(n)
+        assert math.prod(pieces) == n and min(pieces) > 1, n
+    # Phi_d(2) for d | 12 but Phi_1(2) = 1, and for d | 24 not dividing 12; Phi_4(2)
+    # and Phi_12(2) lie whole in one Aurifeuillian half, so they do not split
+    assert _binomial_pieces(2**12 - 1) == [3, 7, 5, 3, 13]
+    assert _binomial_pieces(2**12 + 1) == [17, 241]
+    # Phi_188(2) = (2^94 + 1) / 5 split by its gcd with 2^47 - 2^24 + 1
+    assert _binomial_pieces(2**94 + 1) == [5, 140737471578113, 28147501026509]
+
+
+def test_factorize_of_binomials_matches_the_generic_route():
+    for n in BINOMIALS + SUZUKI_NUMBERS:
+        assert factorize(n) == _factor_generic(n), n
+
+
+def test_numbers_next_to_the_binomial_forms_keep_their_factorizations():
+    assert [factorize(n) for n in (2, 3, 5, 9)] == [(2,), (3,), (5,), (3, 3)]
+    near = [2**m for m in range(1, 96)] + [2**m + 3 for m in range(1, 96)] + [2**m - 3 for m in range(3, 97)]
+    for n in near:
+        # not split, so factored by the generic route alone
+        assert _binomial_pieces(n) == [n], n
+        if n < 2**24:
+            assert list(factorize(n)) == brute_factorize(n), n
+
+
+def test_binomials_with_algebraic_pieces_need_no_rho(monkeypatch):
+    calls = []
+    brent_rho = numtheory._brent_rho
+
+    def counted(n):
+        calls.append(n)
+        return brent_rho(n)
+
+    monkeypatch.setattr(numtheory, "_brent_rho", counted)
+    assert _factor_generic(2**62 - 1) == (3, 715827883, 2147483647) and calls
+    calls.clear()
+    factorize.cache_clear()
+    assert factorize(2**62 - 1) == (3, 715827883, 2147483647)
+    assert factorize(2**94 + 1) == (5, 3761, 7484047069, 140737471578113)
+    assert calls == []
 
 
 def test_prime_divisors_of_2_to_the_a_plus_minus_1_match_the_recorded_digest():
