@@ -372,14 +372,23 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
 
     The depth-first search cuts a subtree only when it holds no qualifying
     cycle, or when a subtree searched before it holds one, so the returned
-    witness is the one the unpruned search would return.  Three rules cut:
+    witness is the one the unpruned search would return.  Four rules cut:
     - reachability: no free vertex reachable from the path's end through
       free vertices is a neighbor of the start;
     - degree: too few of those reachable vertices have two neighbors among
       themselves, the path's end and the start to reach min_length;
     - twins: vertices whose neighborhoods agree apart from each other are
       swapped by an automorphism, so a neighbor is skipped while a lower twin
-      of it is free, and a start with a lower twin is skipped.
+      of it is free, and a start with a lower twin is skipped;
+    - forced edges: when the path plus every free vertex is exactly
+      min_length long (slack 0, which holds along the whole search from the
+      start s with order - s = min_length), every free vertex lies on the
+      cycle, and a free vertex with only two usable neighbors fixes both of
+      its cycle edges (_forced_candidates).  The node is cut when these
+      edges cannot all be part of one cycle, and a tight neighbor of the
+      path's end is its only candidate, since every other branch lacks a
+      forced edge.  A twin the search skips is tight whenever its lower twin
+      is, so the skip never drops the forced candidate.
     At min_length = order only start 0 is tried, and the first two rules cut
     exactly when some unvisited vertex is cut off from the path's end or has
     fewer than two usable neighbors.  A bipartite graph, as bipartite
@@ -400,11 +409,16 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
         reach = _reach(adj, v, free)
         if not reach & adj[start]:
             return False
-        around = reach | (1 << v) | (1 << start)
-        usable = sum((adj[u] & around).bit_count() >= 2 for u in _bits(reach))
-        if length + usable < min_length:
-            return False
         cand = adj[v] & free
+        if length + free.bit_count() > min_length:
+            around = reach | (1 << v) | (1 << start)
+            usable = sum((adj[u] & around).bit_count() >= 2 for u in _bits(reach))
+            if length + usable < min_length:
+                return False
+        elif reach != free:  # slack 0: every free vertex lies on the cycle
+            return False
+        else:
+            cand = _forced_candidates(adj, start, v, free, cand)
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -431,6 +445,42 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
             break
     del dfs  # see _max_clique_above
     return cycle
+
+
+def _forced_candidates(adj: tuple[int, ...], start: int, v: int, free: int, cand: int) -> int:
+    """The candidates worth trying at a search node where every free vertex
+    must lie on the cycle, given the neighbors cand of the path's end v
+    among them; 0 when no such cycle extends the path.
+
+    A free vertex's usable neighbors are its neighbors among the free
+    vertices, v and start; one with exactly two is tight, and both its cycle
+    edges are forced.  The cycle still needs two edges at each free vertex, one at v
+    and one at start, or two at v = start at the root.  The node has no
+    cycle when a free vertex has fewer than two usable neighbors, when a
+    vertex is forced more edges than it needs, or when a tight vertex joins
+    v to start while other free vertices wait.  Otherwise a tight neighbor
+    of v is the next vertex."""
+    around = free | (1 << v) | (1 << start)
+    ends = 0 if v == start else (1 << v) | (1 << start)
+    tight = one = two = three = 0  # one, two, three: vertices with at least that many tight neighbors
+    rest = free
+    while rest:
+        low = rest & -rest
+        nbrs = adj[low.bit_length() - 1] & around
+        rest ^= low
+        count = nbrs.bit_count()
+        if count > 2:
+            continue
+        if count < 2 or nbrs == ends and free != low:
+            return 0
+        tight |= low
+        three |= two & nbrs
+        two |= one & nbrs
+        one |= nbrs
+    if three or two & ends:
+        return 0
+    at_v = cand & tight
+    return at_v if at_v and ends else cand
 
 
 def _reach(adj: tuple[int, ...], seed: int, within: int) -> int:

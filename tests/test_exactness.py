@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -296,6 +300,31 @@ def test_dense_25_vertex_graphs_are_decided():
                 2, 5, 23, 11, 7, 59, 61, 3, 43, 31, 41, 89, 73, 67, 13, 71, 97, 83, 47, 17, 19, 29, 79, 37, 53
             )
     assert verdicts == [False, False, True, False, False]
+
+
+def test_forced_edges_decide_a_formerly_heavy_25_vertex_graph():
+    """The README "Caps" graph at seed 1456: the odd primes 3..101, an edge
+    wherever the draw is at least 0.25.  Its complement has a 25-cycle that
+    the search without the forced-edge rule takes about 17 s to reach; with
+    the rule it takes milliseconds.  The check runs in its own interpreter,
+    so a slow search fails at the timeout instead of stalling the suite."""
+    code = (
+        "import random\n"
+        "from chargraph.exactness import check_n_exact\n"
+        "from chargraph.graphs import PrimeGraph\n"
+        "P = [p for p in range(3, 102) if all(p % d for d in range(2, p))]\n"
+        "rng = random.Random(1456)\n"
+        "g = PrimeGraph(P, [(P[a], P[b]) for a in range(25) for b in range(a + 1, 25) if rng.random() >= 0.25])\n"
+        "r = check_n_exact(g, 15)\n"
+        "print(r.verdict, r.extremal_class, r.odd_cycle.vertices_in_order)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5
+    )
+    assert proc.stdout == (
+        "True MinExtremal (3, 29, 5, 11, 13, 7, 19, 41, 17, 23, 59, 79, 37, 71, 101, 61, 53, 83, 73, 31, 43, 97, 67, 89, 47)\n"
+    ), proc.stderr
 
 
 @pytest.mark.parametrize("f", range(2, 90))

@@ -491,6 +491,74 @@ def test_odd_cycle_and_hamilton_witnesses_match_oracles_on_twin_rich_graphs():
             assert (cycle and cycle.vertices_in_order) == first, g
 
 
+# --- sparse graphs with many degree-2 vertices, where edges are forced ---
+
+PRIMES10 = PRIMES9 + (29,)
+
+
+def cycle_with_chords(rng, verts):
+    """A cycle through the vertices in random order plus up to three chords."""
+    ring = rng.sample(verts, len(verts))
+    edges = {frozenset((a, b)) for a, b in zip(ring, ring[1:] + ring[:1])}
+    edges |= {frozenset(rng.sample(verts, 2)) for _ in range(rng.randint(0, 3))}
+    return PrimeGraph(verts, map(tuple, edges))
+
+
+def subdivided(rng, verts):
+    """A random graph on four or five vertices whose edges the remaining
+    vertices subdivide, each a degree-2 vertex on a random edge."""
+    core = rng.randint(4, 5)
+    edges = [e for e in itertools.combinations(verts[:core], 2) if rng.random() < 0.7] or [tuple(verts[:2])]
+    for w in verts[core:]:
+        a, b = edges.pop(rng.randrange(len(edges)))
+        edges += [(a, w), (w, b)]
+    return PrimeGraph(verts, edges)
+
+
+def sparse_random(rng, verts):
+    p = rng.uniform(0.15, 0.35)
+    return PrimeGraph(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
+
+
+def sparse_graphs(per_family: int):
+    """Graphs on 7-10 vertices from each sparse family, labels shuffled."""
+    rng = random.Random(19)
+    for family in (cycle_with_chords, subdivided, sparse_random):
+        for _ in range(per_family):
+            yield family(rng, rng.sample(PRIMES10, rng.randint(7, 10)))
+
+
+def test_odd_cycle_and_hamilton_witnesses_match_oracles_on_sparse_graphs():
+    # a target of order (Hamilton) or order - 1 leaves no free vertex off the
+    # cycle at the last start tried, where tight vertices force edges
+    for g in sparse_graphs(6):
+        verts, edges = g.vertices, g.sorted_edges()
+        target = g.order if g.order % 2 else g.order - 1
+        found = longest_odd_cycle_at_least(g, target)
+        assert (found and found.vertices_in_order) == brute_first_odd_cycle(verts, edges, target), g
+        cycle = is_hamiltonian(g).cycle
+        assert (cycle and cycle.vertices_in_order) == brute_first_hamilton_cycle(verts, edges), g
+
+
+def test_cycle_searches_match_the_recorded_digest():
+    # odd-cycle and Hamilton witnesses over sparse graphs on 14-19 vertices,
+    # the complements of dense graphs near the minimum order 2n - 5, so a
+    # change to the pruning or the branching order that moves any witness
+    # shows here, beyond the reach of the brute-force oracles
+    primes = PRIMES22[:19]
+    rng = random.Random(1998)
+    lines = []
+    for _ in range(200):
+        verts = rng.sample(primes, rng.randint(14, 19))
+        density = rng.uniform(0.12, 0.3)
+        g = PrimeGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < density])
+        odd = longest_odd_cycle_at_least(g, g.order if g.order % 2 else g.order - 1)
+        ham = is_hamiltonian(g).cycle
+        lines.append(repr((odd and odd.vertices_in_order, ham and ham.vertices_in_order)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e4da6a6aa570a7ee890540721d1c45c4e1410d2e77236d55e286a5c3f1303b46"
+
+
 # --- components / isomorphism ---
 
 
@@ -545,9 +613,7 @@ def test_searches_match_oracles_on_sampled_6_vertex_graphs(mask):
     assert is_bipartite(g).is_bipartite == brute_is_bipartite(PRIMES6, edges)
     for target in (3, 5):
         found = longest_odd_cycle_at_least(g, target)
-        assert (found is not None) == brute_odd_cycle_exists(PRIMES6, edges, target)
-        if found is not None:
-            assert found.validates_in(g) and found.length >= target
+        assert (found and found.vertices_in_order) == brute_first_odd_cycle(PRIMES6, edges, target)
     assert connected_components(g) == brute_components(PRIMES6, edges)
     # derived graphs skip validation, so they must equal validated builds
     assert_built_as(complement(g), PRIMES6, [p for p in PAIRS6 if p not in edges])
