@@ -259,9 +259,9 @@ def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRec
 def verify_hamilton_characterization(f: int) -> VerificationRecord:
     """Check, for q = 2^f, that the complement of the PSL2(q) graph is
     non-bipartite and Hamiltonian exactly when the sizes of pi(q-1) and
-    pi(q+1) differ by at most 1.  The searches cap f from above: PSL2 refuses
-    a q whose q +- 1 cannot be factored (OutOfRange), and the Hamilton search
-    a complement on more than MAX_HAMILTON_VERTICES vertices (TooLarge)."""
+    pi(q+1) differ by at most 1.  Only factoring caps f: PSL2 refuses q from
+    2^96 on (OutOfRange); below it no complement has more than 22 vertices,
+    within the cycle search's cap."""
     if f < 2:
         raise BadParameter(f"f must be at least 2, got {f}")
     q = 2**f

@@ -13,11 +13,12 @@ one table per graph, the table induced_subgraph uses too.
 One clique search in lexicographic order, with no second pass, gives the
 least maximum clique, and bounded from below it decides K_n-freeness; it
 colors its candidates one class at a time, as bitsets.  One pruned
-depth-first cycle search serves both cycle questions: an odd cycle of length
-at least a target, and a cycle through every vertex.  Components reuse that
-search's reachability walk, and bipartiteness is one breadth-first walk that
-stops at the first conflict; the cycle search starts from its answer, which
-a caller that also needs it can hand to the Hamilton search.
+depth-first cycle search, with one size cap it checks after its cheap
+answers, serves both cycle questions: an odd cycle of length at least a
+target, and a cycle through every vertex.  Components reuse that search's
+reachability walk, and bipartiteness is one breadth-first walk that stops at
+the first conflict; the cycle search starts from its answer, which a caller
+that also needs it can hand to the Hamilton search.
 
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
@@ -35,7 +36,6 @@ from .numtheory import is_prime
 
 MAX_CLIQUE_VERTICES = 64
 MAX_CYCLE_VERTICES = 25
-MAX_HAMILTON_VERTICES = 20
 MAX_ISO_VERTICES = 8
 
 
@@ -344,8 +344,6 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
     min_length must be an odd integer >= 3; even values are a caller error.
     """
-    if g.order > MAX_CYCLE_VERTICES:
-        raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
     if min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
     if min_length > g.order:
@@ -355,12 +353,11 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
 def is_hamiltonian(g: PrimeGraph, *, _bipartite: BipartiteResult | None = None) -> HamiltonResult:
     """Exact Hamiltonian-cycle search: the first cycle through all vertices
-    in canonical search order, so it starts at the least vertex.
+    in canonical search order, so it starts at the least vertex, under the
+    cycle search's cap.
 
     _bipartite is library-internal: a caller that also needs is_bipartite(g)
     passes its result, so that the walk runs once."""
-    if g.order > MAX_HAMILTON_VERTICES:
-        raise TooLarge(f"Hamilton search is capped at {MAX_HAMILTON_VERTICES} vertices, got {g.order}")
     cycle = _first_cycle(g, g.order, is_bipartite(g) if _bipartite is None else _bipartite)
     return HamiltonResult(cycle is not None, cycle)
 
@@ -393,10 +390,13 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
     exactly when some unvisited vertex is cut off from the path's end or has
     fewer than two usable neighbors.  A bipartite graph, as bipartite
     (is_bipartite(g)) tells, is answered before the search: its cycles are
-    even, each at most twice its smaller part.
+    even, each at most twice its smaller part.  Any other graph on more than
+    MAX_CYCLE_VERTICES vertices raises TooLarge.
     """
     if bipartite.is_bipartite and (min_length % 2 or min_length > 2 * min(map(len, bipartite.parts))):
         return None
+    if g.order > MAX_CYCLE_VERTICES:
+        raise TooLarge(f"cycle search is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
     verts, adj = g.vertices, g._adj
     n = len(verts)
     twins_below = _twins_below(adj)
@@ -528,13 +528,13 @@ def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
 
 
 def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:
-    """Brute-force isomorphism for graphs on at most 8 vertices."""
-    if g1.order > MAX_ISO_VERTICES or g2.order > MAX_ISO_VERTICES:
-        raise TooLarge(f"isomorphism check is capped at {MAX_ISO_VERTICES} vertices")
+    """Isomorphism by brute force, which is capped at 8 vertices."""
     if g1.order != g2.order or g1.size != g2.size:
         return False
     if sorted(a.bit_count() for a in g1._adj) != sorted(a.bit_count() for a in g2._adj):
         return False
+    if g1.order > MAX_ISO_VERTICES:
+        raise TooLarge(f"isomorphism check is capped at {MAX_ISO_VERTICES} vertices")
     edges1 = g1.sorted_edges()
     for perm in itertools.permutations(g2.vertices):
         mapping = dict(zip(g1.vertices, perm))

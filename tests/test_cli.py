@@ -100,13 +100,29 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert out3 == out4
 
 
+def test_default_suite_json_matches_the_recorded_digest():
+    """The default suite document (n in 4..7, alpha and f in 2..12), pinned
+    byte for byte in fresh interpreters under two hash seeds, as the CI
+    console-script step pins it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", "--quiet", "verify", "--suite"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "895a456309241627546ed78f58a3afe3d6a91a963ac3600bc9e9c8fa0b5d8f60", seed
+
+
 def test_suite_json_matches_the_recorded_digest(capsys):
     """The suite document is pinned byte for byte, so a refactor that changes
     any verdict, certificate or record order shows up here."""
     code, out, _ = invoke(capsys, "--quiet", "verify", "--suite", "--alpha-max", "48")
     assert code == 0
-    assert len(out.encode()) == 338880
-    assert hashlib.sha256(out.encode()).hexdigest() == "51ad29eb39a34977abfc7407c323ca79f8173b8ad444344dc2dd2c416f2066b1"
+    assert len(out.encode()) == 356828
+    assert hashlib.sha256(out.encode()).hexdigest() == "b4bb328f49b997954d6785233b6847fb01794bbcbe2b8bc165cfba6ff1694b76"
 
 
 def test_suite_json_for_larger_n_matches_the_recorded_digest(capsys):
@@ -115,7 +131,7 @@ def test_suite_json_for_larger_n_matches_the_recorded_digest(capsys):
     outs = [invoke(capsys, "--quiet", "verify", "--suite", "--n", str(n), "--alpha-max", "48") for n in range(8, 14)]
     assert all(code == 0 for code, _, _ in outs)
     text = "".join(out for _, out, _ in outs)
-    assert hashlib.sha256(text.encode()).hexdigest() == "e1ffdea9024282178453a17e925c7976318ae26f6d7bed493e626b98090c43f2"
+    assert hashlib.sha256(text.encode()).hexdigest() == "a2a055730fe9602f8e24a746e6b4fb06d3ce7a617d99645e7037ca4b2fb8b4dc"
 
 
 def test_suzuki_23_document_matches_the_recorded_digest_under_two_hash_seeds():

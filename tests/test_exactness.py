@@ -306,17 +306,20 @@ def test_forced_edges_decide_a_formerly_heavy_25_vertex_graph():
     """The README "Caps" graph at seed 1456: the odd primes 3..101, an edge
     wherever the draw is at least 0.25.  Its complement has a 25-cycle that
     the search without the forced-edge rule takes about 17 s to reach; with
-    the rule it takes milliseconds.  The check runs in its own interpreter,
-    so a slow search fails at the timeout instead of stalling the suite."""
+    the rule it takes milliseconds.  At 2n - 5 = 25 vertices that odd cycle
+    is a Hamilton cycle, and the Hamilton search finds the same one under
+    the same cap.  The check runs in its own interpreter, so a slow search
+    fails at the timeout instead of stalling the suite."""
     code = (
         "import random\n"
         "from chargraph.exactness import check_n_exact\n"
-        "from chargraph.graphs import PrimeGraph\n"
+        "from chargraph.graphs import PrimeGraph, complement, is_hamiltonian\n"
         "P = [p for p in range(3, 102) if all(p % d for d in range(2, p))]\n"
         "rng = random.Random(1456)\n"
         "g = PrimeGraph(P, [(P[a], P[b]) for a in range(25) for b in range(a + 1, 25) if rng.random() >= 0.25])\n"
         "r = check_n_exact(g, 15)\n"
         "print(r.verdict, r.extremal_class, r.odd_cycle.vertices_in_order)\n"
+        "print(is_hamiltonian(complement(g)).cycle == r.odd_cycle)\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -324,6 +327,7 @@ def test_forced_edges_decide_a_formerly_heavy_25_vertex_graph():
     )
     assert proc.stdout == (
         "True MinExtremal (3, 29, 5, 11, 13, 7, 19, 41, 17, 23, 59, 79, 37, 71, 101, 61, 53, 83, 73, 31, 43, 97, 67, 89, 47)\n"
+        "True\n"
     ), proc.stderr
 
 
@@ -382,9 +386,8 @@ def test_hamilton_characterization_walks_its_graph_once(monkeypatch):
 def test_hamilton_characterization_range():
     with pytest.raises(BadParameter):
         verify_hamilton_characterization(1)
-    # the suite's range ends at 12; beyond it the graph's own caps bound f
-    assert all(verify_hamilton_characterization(f).passed for f in range(13, 90))
-    with pytest.raises(TooLarge, match=r"^Hamilton search is capped at 20 vertices, got 22$"):
-        verify_hamilton_characterization(90)
+    # every complement up to f = 95 fits the cycle cap (f = 90 has 22
+    # vertices); factoring q +- 1 bounds f from above
+    assert all(verify_hamilton_characterization(f).passed for f in range(2, 96))
     with pytest.raises(OutOfRange):
         verify_hamilton_characterization(96)

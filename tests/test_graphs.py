@@ -305,12 +305,11 @@ def test_odd_cycle_rejects_even_target():
 
 def test_odd_cycle_target_above_the_order():
     assert longest_odd_cycle_at_least(C5, 7) is None
-    # the cap and the parity check still come before the order check
+    # the parity check comes before the order check, and the cycle cap after it
     with pytest.raises(BadParameter):
         longest_odd_cycle_at_least(C5, 8)
     many = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:26]
-    with pytest.raises(TooLarge):
-        longest_odd_cycle_at_least(PrimeGraph(many), 27)
+    assert longest_odd_cycle_at_least(complete_graph(many), 27) is None
 
 
 def test_odd_cycle_witness_validates():
@@ -420,9 +419,18 @@ def test_cycle_searches_answer_an_unbalanced_bipartite_graph_at_once():
 
 
 def test_hamilton_cap():
-    many = [p for p in range(2, 100) if all(p % d for d in range(2, p))][:21]
-    with pytest.raises(TooLarge):
-        is_hamiltonian(PrimeGraph(many))
+    """Both cycle questions run one search with one cap, checked inside it:
+    a graph over the cap that the bipartite rule answers gets its answer
+    (test_odd_cycle_target_above_the_order covers the order test), and only
+    a search that must run raises."""
+    many = [p for p in range(2, 200) if all(p % d for d in range(2, p))][:26]
+    dense = complete_graph(many)
+    for search in (lambda g: longest_odd_cycle_at_least(g, 3), is_hamiltonian):
+        with pytest.raises(TooLarge, match=r"^cycle search is capped at 25 vertices, got 26$"):
+            search(dense)
+    for edgeless in (PrimeGraph(many[:21]), PrimeGraph(many)):
+        assert is_hamiltonian(edgeless) == (False, None)
+        assert longest_odd_cycle_at_least(edgeless, 3) is None
 
 
 # --- pruned searches on twin-rich graphs near the Hamilton regime ---
@@ -594,6 +602,10 @@ def test_isomorphic_small_spec_values():
 
 def test_isomorphic_small_cap():
     many = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+    # the order comparison answers before the cap
+    assert not isomorphic_small(PrimeGraph(many), PrimeGraph((2, 3)))
+    assert not isomorphic_small(PrimeGraph((2, 3)), PrimeGraph(many))
+    # equal orders and degree sequences leave only the brute force, which is capped
     with pytest.raises(TooLarge):
         isomorphic_small(PrimeGraph(many), PrimeGraph(many))
 
