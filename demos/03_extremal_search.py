@@ -19,7 +19,6 @@ from chargraph import (
     find_alphas,
     fresh_primes,
     model_graph,
-    prime_divisors,
     sweep_models,
     verify_hamilton_characterization,
 )
@@ -32,8 +31,8 @@ def main() -> None:
     print(f"exponent search for n = {N}: which alpha give balanced divisor")
     print("counts |pi(2^a - 1)| = |pi(2^a + 1)| = k?")
     print("=" * 72)
-    for k in (N - 3, N - 2, N - 1):
-        result = find_alphas(N, k, (2, 40))
+    results = {k: find_alphas(N, k, (2, 40)) for k in (N - 3, N - 2, N - 1)}
+    for k, result in results.items():
         alphas = [r.alpha for r in result.realizations]
         print(f"  k = {k} (case {result.case}): alpha in {alphas}; "
               f"near misses {list(result.near_misses)}")
@@ -42,25 +41,18 @@ def main() -> None:
     print("=" * 72)
     print("building one model per catalog case and verifying its certificates")
     print("=" * 72)
-    k_min = N - 3
-    alpha_min = find_alphas(N, k_min, (2, 40)).realizations[0].alpha
-    exclude = prime_divisors(2 ** (2 * alpha_min) - 1)
-    p1, p2, p3, p4 = fresh_primes(4, exclude)
-    candidates = [
-        Product((PSL2(PrimePower(2, alpha_min)), abelian())),
-        Product((
-            PSL2(PrimePower(2, alpha_min)),
-            disconnected_pair("Type1", p1, p2),
-            disconnected_pair("Type4", p3, p4),
-        )),
-    ]
-    alpha_mid = find_alphas(N, N - 2, (2, 40)).realizations[0].alpha
-    q1, q2 = fresh_primes(2, prime_divisors(2 ** (2 * alpha_mid) - 1))
-    candidates.append(
-        Product((PSL2(PrimePower(2, alpha_mid)), disconnected_pair("Type1", q1, q2)))
+    # the first alpha realizing each k; fresh primes avoid the PSL2 graph's vertices
+    psl2_min, psl2_mid, psl2_max = (
+        PSL2(PrimePower(2, result.realizations[0].alpha)) for result in results.values()
     )
-    alpha_max = find_alphas(N, N - 1, (2, 40)).realizations[0].alpha
-    candidates.append(Product((PSL2(PrimePower(2, alpha_max)), abelian())))
+    p1, p2, p3, p4 = fresh_primes(4, psl2_min.graph.vertices)
+    q1, q2 = fresh_primes(2, psl2_mid.graph.vertices)
+    candidates = [
+        Product((psl2_min, abelian())),
+        Product((psl2_min, disconnected_pair("Type1", p1, p2), disconnected_pair("Type4", p3, p4))),
+        Product((psl2_mid, disconnected_pair("Type1", q1, q2))),
+        Product((psl2_max, abelian())),
+    ]
 
     for model in candidates:
         outcome = classify_extremal_case(model, N)

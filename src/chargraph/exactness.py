@@ -30,9 +30,8 @@ from .models import (
     Product,
     describe_model,
     model_graph,
-    psl2_graph,
 )
-from .numtheory import PrimePower, prime_divisors
+from .numtheory import PrimePower
 
 MIN_EXTREMAL = "MinExtremal"
 MAX_EXTREMAL = "MaxExtremal"
@@ -174,8 +173,8 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """Match a product model against the extremal catalog.
 
     The model must be a product of exactly one even-characteristic PSL2
-    factor with abstract solvable factors.  With k the common size of
-    pi(2^a - 1) and pi(2^a + 1) (AsymmetricPiSizes when they differ) and p
+    factor with abstract solvable factors.  With k the common size of its
+    pi_minus = pi(2^a - 1) and pi_plus (AsymmetricPiSizes when they differ) and p
     the sum of PAIRS_OF_LABEL over the solvable factors (a C4Product counts
     two), the case is the CATALOG row with this k - n and p.  A k - n in no
     row is not covered; a k - n in some row whose p does not fit is a
@@ -191,12 +190,11 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
         raise ShapeMismatch(f"expected exactly one PSL2 factor, got {len(psl2_factors)}")
     # a flat product holds no Product factor, and a Suzuki or second PSL2 graph
     # holds the prime 2, which join refuses to share: the rest is abstract solvable
-    q = psl2_factors[0].q
-    if q.base != 2:
-        raise ShapeMismatch(f"the extremal catalog needs an even-characteristic PSL2 factor, got q = {q.value}")
-    alpha = q.exponent
-    k_minus = len(prime_divisors(2**alpha - 1))
-    k_plus = len(prime_divisors(2**alpha + 1))
+    psl2 = psl2_factors[0]
+    if psl2.q.base != 2:
+        raise ShapeMismatch(f"the extremal catalog needs an even-characteristic PSL2 factor, got q = {psl2.q.value}")
+    alpha = psl2.q.exponent
+    k_minus, k_plus = len(psl2.pi_minus), len(psl2.pi_plus)
     if k_minus != k_plus:
         raise AsymmetricPiSizes(
             f"|pi(2^{alpha} - 1)| = {k_minus} differs from |pi(2^{alpha} + 1)| = {k_plus}"
@@ -259,18 +257,18 @@ def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRec
 def verify_hamilton_characterization(f: int) -> VerificationRecord:
     """Check, for q = 2^f, that the complement of the PSL2(q) graph is
     non-bipartite and Hamiltonian exactly when the sizes of pi(q-1) and
-    pi(q+1) differ by at most 1.  Only factoring caps f: PSL2 refuses q from
-    2^96 on (OutOfRange); below it no complement has more than 22 vertices,
-    within the cycle search's cap."""
+    pi(q+1) differ by at most 1; the graph and both sets come from one
+    PSL2(q) model.  Only factoring caps f: PSL2 refuses q from 2^96 on
+    (OutOfRange); below it no complement has more than 22 vertices, within
+    the cycle search's cap."""
     if f < 2:
         raise BadParameter(f"f must be at least 2, got {f}")
-    q = 2**f
-    comp = complement(psl2_graph(PrimePower(2, f)))
+    psl2 = PSL2(PrimePower(2, f))
+    comp = complement(psl2.graph)
     bipartite = is_bipartite(comp)
     hamilton = is_hamiltonian(comp, _bipartite=bipartite)  # one walk answers both
     graph_side = (not bipartite.is_bipartite) and hamilton.is_hamiltonian
-    k_minus = len(prime_divisors(q - 1))
-    k_plus = len(prime_divisors(q + 1))
+    k_minus, k_plus = len(psl2.pi_minus), len(psl2.pi_plus)
     balanced = abs(k_plus - k_minus) <= 1
     return VerificationRecord(
         check="hamilton_characterization",

@@ -57,9 +57,14 @@ class DegreeSet:
 
 @dataclass(frozen=True)
 class PSL2:
-    """The family PSL2(q), q a prime power >= 4."""
+    """The family PSL2(q), q a prime power >= 4, with pi_minus = pi(q - 1)
+    and pi_plus = pi(q + 1), ascending, and the graph they make (psl2_graph);
+    none of the three takes part in ==, hash or repr.  PSL2(5) is built as the
+    isomorphic PSL2(4): it carries (3,) and (5,), not pi(4) and pi(6)."""
 
     q: PrimePower
+    pi_minus: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pi_plus: tuple[int, ...] = field(init=False, repr=False, compare=False)
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -69,9 +74,9 @@ class PSL2:
             raise OutOfRange(f"PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {self.q}")
         q = _psl2_prime_power(self.q)
         object.__setattr__(self, "q", q)
-        # PSL2(5) and PSL2(4) are isomorphic
         base, exponent = (2, 2) if q.value == 5 else (q.base, q.exponent)
-        object.__setattr__(self, "graph", _psl2_graph_cached(base, exponent))
+        for name, fact in zip(("pi_minus", "pi_plus", "graph"), _psl2_facts(base, exponent)):
+            object.__setattr__(self, name, fact)
 
 
 def _psl2_prime_power(q: PrimePower | int) -> PrimePower:
@@ -202,21 +207,19 @@ def _clique_union(*cliques: tuple[int, ...]) -> PrimeGraph:
 
 
 def psl2_graph(q: PrimePower | int) -> PrimeGraph:
-    """Character graph of PSL2(q) for a prime power q >= 4.
-
-    For q = p^f it is the union of the cliques {p}, pi(q-1) and pi(q+1), the
-    supports of the degrees q, q-1 and q+1: three components for even q, and
-    for odd q the isolated p beside pi(q^2 - 1), where 2 lies in both cliques
-    and so is adjacent to every other prime.  q = 5 is routed through q = 4
-    (the two groups are isomorphic).
-    """
+    """Character graph of PSL2(q) for a prime power q = p^f >= 4: the union
+    of the cliques {p}, pi(q-1) and pi(q+1) that PSL2 carries, the supports of
+    the degrees q, q-1 and q+1.  It has three components for even q; for odd
+    q, the isolated p beside pi(q^2 - 1), where 2 lies in both cliques and so
+    is adjacent to every other prime."""
     return PSL2(q).graph
 
 
 @lru_cache(maxsize=None)
-def _psl2_graph_cached(base: int, exponent: int) -> PrimeGraph:
+def _psl2_facts(base: int, exponent: int) -> tuple[tuple[int, ...], tuple[int, ...], PrimeGraph]:
     q = base**exponent
-    return _clique_union((base,), prime_divisors(q - 1), prime_divisors(q + 1))
+    pi_minus, pi_plus = prime_divisors(q - 1), prime_divisors(q + 1)
+    return pi_minus, pi_plus, _clique_union((base,), pi_minus, pi_plus)
 
 
 def suzuki_graph(m: int) -> PrimeGraph:

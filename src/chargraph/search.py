@@ -52,7 +52,8 @@ def _check_alpha_range(alpha_range: tuple[int, int]) -> tuple[int, int]:
 
 
 def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchResult:
-    """All alpha in the range whose two prime-divisor counts both equal k_target."""
+    """All alpha in the range whose two prime-divisor counts both equal
+    k_target, read from the pi_minus and pi_plus of PSL2(2^alpha)."""
     lo, hi = _check_alpha_range(alpha_range)
     check_n_domain(n)
     # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
@@ -62,12 +63,11 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
     realizations = []
     near_misses = []
     for alpha in range(lo, hi + 1):
-        pi_minus = prime_divisors(2**alpha - 1)
-        pi_plus = prime_divisors(2**alpha + 1)
-        hit_minus = len(pi_minus) == k_target
-        hit_plus = len(pi_plus) == k_target
+        psl2 = PSL2(PrimePower(2, alpha))
+        hit_minus = len(psl2.pi_minus) == k_target
+        hit_plus = len(psl2.pi_plus) == k_target
         if hit_minus and hit_plus:
-            realizations.append(AlphaRealization(alpha, pi_minus, pi_plus))
+            realizations.append(AlphaRealization(alpha, psl2.pi_minus, psl2.pi_plus))
         elif hit_minus or hit_plus:
             near_misses.append(alpha)
     return SearchResult(

@@ -151,6 +151,28 @@ def test_suzuki_23_document_matches_the_recorded_digest_under_two_hash_seeds():
         assert digest == "fe570cc701f0ff7c97693d60c4abc71b63f1381ca704c3a2da9bc63ddb198672", seed
 
 
+def test_search_documents_match_the_recorded_digests_under_two_hash_seeds():
+    """The search documents for n = 6 at each k over the whole alpha range,
+    whose factoring of 2^a +- 1 reaches 2^90 + 1, pinned byte for byte in
+    fresh interpreters under two hash seeds, as the CI console-script step
+    pins them."""
+    expected = {
+        "n-3": "728424ca0f3a46e1df242bca7becb28766d0f655cac528cb03a0a71773dbb8f8",
+        "n-2": "a238deb31bc9d7152f9cbab46575763c89c69d27f1e7430b32213bb53f13e374",
+        "n-1": "33b5c06c2dde42135dd6ba1aab544f13ed01a377399cc36a45b04785d4452e4f",
+    }
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        for k, digest in expected.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "chargraph.cli", "--quiet", "search", "--n", "6", "--k", k, "--alpha-max", "90"],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (seed, k)
+
+
 def test_model_graph_documents_match_the_recorded_digest():
     """The PSL2 graphs for q = 2^a, a in 2..90, and for the odd prime powers
     7 <= q < 2000, and the Suzuki graphs for m in 1..23, pinned byte for byte

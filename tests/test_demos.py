@@ -34,3 +34,5 @@ def test_readme_quick_start():
     assert report.extremal_class == "MinExtremal"
     assert report.odd_cycle.vertices_in_order == (2, 3, 5, 7, 13)
     assert outcome.case == "b.i" and outcome.verified is True
+    psl2 = namespace["model"].factors[0]
+    assert (psl2.pi_minus, psl2.pi_plus) == ((3, 7), (5, 13))

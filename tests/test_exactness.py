@@ -253,6 +253,37 @@ def test_catalog_table_agrees_with_the_checker(capsys):
     assert "--k {n-3,n-2,n-1}" in capsys.readouterr().out
 
 
+def test_classification_hamilton_and_alpha_search_read_the_prime_sets_from_the_model(monkeypatch):
+    """pi(2^a - 1) and pi(2^a + 1) are factored once, by the PSL2 builder:
+    once the models are built, classifying the catalog models, the Hamilton
+    check and the alpha search make no prime_divisors call."""
+    pairs = (disconnected_pair("Type1", 11, 17), disconnected_pair("Type4", 19, 23))
+    models = [
+        Product((PSL2(PrimePower(2, 6)), abelian())),
+        Product((PSL2(PrimePower(2, 6)), *pairs)),
+        Product((PSL2(PrimePower(2, 14)), pairs[0])),
+        Product((PSL2(PrimePower(2, 18)), abelian())),
+    ]
+    for a in range(2, 91):
+        PSL2(PrimePower(2, a))
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return prime_divisors(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "chargraph" and getattr(module, "prime_divisors", None) is prime_divisors:
+            monkeypatch.setattr(module, "prime_divisors", counting)
+    outcomes = [classify_extremal_case(model, 5) for model in models]
+    records = [verify_hamilton_characterization(f) for f in range(2, 13)]
+    result = find_alphas(6, 3, (2, 90))
+    assert calls == []
+    assert [(o.case, o.verified) for o in outcomes] == [("a", True), ("b.i", True), ("b.ii", True), ("b.iii", True)]
+    assert all(r.passed for r in records)
+    assert 14 in [r.alpha for r in result.realizations]
+
+
 def test_classification_error_paths_from_one_pair_model():
     one_pair = Product((PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17)))
     # k = 2 = n - 4 for n = 6: outside the catalog

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -83,6 +84,27 @@ def test_psl2_graph_odd_cases():
 
 def test_psl2_graph_q5_routes_through_q4():
     assert psl2_graph(5) == psl2_graph(4)
+
+
+def test_psl2_carries_its_prime_sets():
+    """pi_minus and pi_plus are pi(q - 1) and pi(q + 1) for every q = 2^a,
+    a in 2..95, and every odd prime power 7 <= q < 2000, and the graph's
+    vertices are p and the two sets."""
+    odd = [q for q in range(7, 2000, 2) if as_prime_power(q) is not None]
+    for q in [PrimePower(2, a) for a in range(2, 96)] + odd:
+        model = PSL2(q)
+        value = model.q.value
+        assert model.pi_minus == prime_divisors(value - 1), value
+        assert model.pi_plus == prime_divisors(value + 1), value
+        assert model.graph.vertices == tuple(sorted({model.q.base, *model.pi_minus, *model.pi_plus})), value
+    # PSL2(5) is built as PSL2(4): it carries the cliques of its graph, not pi(4) and pi(6)
+    five, four = PSL2(5), PSL2(4)
+    assert (five.pi_minus, five.pi_plus) == (four.pi_minus, four.pi_plus) == ((3,), (5,))
+    # the sets, like the graph, stay out of ==, hash and repr
+    assert five != four and hash(five) == hash((PrimePower(5, 1),))
+    assert repr(five) == "PSL2(q=PrimePower(base=5, exponent=1))"
+    derived = {f.name: (f.init, f.compare, f.repr) for f in dataclasses.fields(PSL2) if f.name != "q"}
+    assert derived == dict.fromkeys(("pi_minus", "pi_plus", "graph"), (False, False, False))
 
 
 def test_psl2_graph_accepts_prime_power_or_int():
@@ -261,7 +283,7 @@ def test_psl2_degree_oracle_does_not_build_the_graph_it_checks(monkeypatch):
     def refuse(base, exponent):
         raise AssertionError(f"the oracle built the graph of PSL2({base}^{exponent})")
 
-    monkeypatch.setattr(models, "_psl2_graph_cached", refuse)
+    monkeypatch.setattr(models, "_psl2_facts", refuse)
     assert psl2_degree_oracle(64) == DegreeSet.of(1, 63, 64, 65)
     assert psl2_degree_oracle(PrimePower(3, 2)) == DegreeSet.of(1, 5, 8, 9, 10)
     # nor does it need the factoring of q +- 1 that refuses PSL2(2^96)
