@@ -169,6 +169,22 @@ def _order_bound_record(name: str, report: ExactnessReport, **extra: Any) -> Ver
     )
 
 
+def _catalog_case(psl2: PSL2, pairs: int, n: int) -> tuple[str, int | None]:
+    """The CATALOG case of PSL2(2^a) x R, R with this many disconnected pairs,
+    and its expected order; "asymmetric", "not_covered" or "shape_mismatch"
+    with None when no row fits, checked in that order."""
+    k = len(psl2.pi_minus)
+    if k != len(psl2.pi_plus):
+        return "asymmetric", None
+    rows = {p: (case, offset) for case, (dk, p, offset) in CATALOG.items() if dk == k - n}
+    if not rows:
+        return "not_covered", None
+    if pairs not in rows:
+        return "shape_mismatch", None
+    case, offset = rows[pairs]
+    return case, 2 * n + offset
+
+
 def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     """Match a product model against the extremal catalog.
 
@@ -176,10 +192,10 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     factor with abstract solvable factors.  With k the common size of its
     pi_minus = pi(2^a - 1) and pi_plus (AsymmetricPiSizes when they differ) and p
     the sum of PAIRS_OF_LABEL over the solvable factors (a C4Product counts
-    two), the case is the CATALOG row with this k - n and p.  A k - n in no
-    row is not covered; a k - n in some row whose p does not fit is a
-    ShapeMismatch.  Covered cases are verified on the spot: the graph must be
-    n-exact with the row's order.
+    two), the case is the CATALOG row with this k - n and p (_catalog_case).
+    A k - n in no row is not covered; a k - n in some row whose p does not
+    fit is a ShapeMismatch.  Covered cases are verified on the spot: the
+    graph must be n-exact with the row's order.
     """
     check_n_domain(n)
     if not isinstance(model, Product):
@@ -193,58 +209,42 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     psl2 = psl2_factors[0]
     if psl2.q.base != 2:
         raise ShapeMismatch(f"the extremal catalog needs an even-characteristic PSL2 factor, got q = {psl2.q.value}")
-    alpha = psl2.q.exponent
-    k_minus, k_plus = len(psl2.pi_minus), len(psl2.pi_plus)
-    if k_minus != k_plus:
-        raise AsymmetricPiSizes(
-            f"|pi(2^{alpha} - 1)| = {k_minus} differs from |pi(2^{alpha} + 1)| = {k_plus}"
-        )
-    k = k_minus
-    # the rows at this k - n, by their number of pairs
-    rows = {p: (case, offset) for case, (dk, p, offset) in CATALOG.items() if dk == k - n}
-    if not rows:
-        return ExtremalCase("not_covered", alpha, k, None, None, None)
+    alpha, k = psl2.q.exponent, len(psl2.pi_minus)
     pairs = sum(PAIRS_OF_LABEL[f.label] for f in rest)
-    if pairs not in rows:
-        raise ShapeMismatch(
-            f"{pairs} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}"
-        )
-    case, offset = rows[pairs]
-    expected_order = 2 * n + offset
+    case, expected_order = _catalog_case(psl2, pairs, n)
+    if case == "asymmetric":
+        raise AsymmetricPiSizes(f"|pi(2^{alpha} - 1)| = {k} differs from |pi(2^{alpha} + 1)| = {len(psl2.pi_plus)}")
+    if case == "shape_mismatch":
+        raise ShapeMismatch(f"{pairs} disconnected pair(s) do not fit any case with |pi(2^alpha +- 1)| = n {k - n:+d}")
+    if expected_order is None:
+        return ExtremalCase(case, alpha, k, None, None, None)
     report = check_n_exact(model_graph(model), n, character_model=True)
     return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
 
 
-def _sweep_records(model: Product, n: int, **extra: Any) -> list[VerificationRecord]:
-    """The records of one swept model: its extremal-case record when the
-    catalog covers it, then its order-bound record, whose details end with
-    the extra entries and the case.  Each model is decided once."""
+def _sweep_records(model: Product, psl2: PSL2, pairs: int, n: int, **extra: Any) -> list[VerificationRecord]:
+    """The records of one swept model, built from psl2 and R with this many
+    pairs: its extremal-case record when the catalog covers it, then its
+    order-bound record, whose details end with the extra entries and the
+    case.  Each model is decided once."""
     name = describe_model(model)
-    try:
-        outcome = classify_extremal_case(model, n)
-    except AsymmetricPiSizes:
-        outcome, case = None, "asymmetric"
-    except ShapeMismatch:
-        outcome, case = None, "shape_mismatch"
-    else:
-        case = outcome.case
+    case, expected_order = _catalog_case(psl2, pairs, n)
+    report = check_n_exact(model.graph, n, character_model=True)
     records = []
-    if outcome is None or outcome.report is None:
-        report = check_n_exact(model_graph(model), n, character_model=True)
-    else:
-        report = outcome.report
+    if expected_order is not None:
+        alpha = psl2.q.exponent
         records.append(
             VerificationRecord(
                 check="extremal_case",
-                description=f"{name}: case {case} at alpha = {outcome.alpha}, expected order {outcome.expected_order}",
-                passed=outcome.verified,
+                description=f"{name}: case {case} at alpha = {alpha}, expected order {expected_order}",
+                passed=report.verdict and report.order == expected_order,
                 details={
                     "model": name,
                     "n": n,
-                    "alpha": outcome.alpha,
+                    "alpha": alpha,
                     "case": case,
-                    "k": outcome.k,
-                    "expected_order": outcome.expected_order,
+                    "k": len(psl2.pi_minus),
+                    "expected_order": expected_order,
                     "order": report.order,
                     "n_exact": report.verdict,
                 },

@@ -35,14 +35,14 @@ _SUZUKI_M_MAX = (FACTOR_LIMIT.bit_length() - 4) // 4
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """A set of character degrees; always contains 1, all entries positive."""
+    """A set of character degrees; always contains 1, all entries positive ints."""
 
     degrees: frozenset[int]
 
     def __post_init__(self) -> None:
-        degs = frozenset(int(d) for d in self.degrees)
+        degs = frozenset(self.degrees)
         object.__setattr__(self, "degrees", degs)
-        if not degs or min(degs) < 1:
+        if not degs or not all(isinstance(d, int) and d >= 1 for d in degs):
             raise BadParameter("character degrees are positive integers")
         if 1 not in degs:
             raise BadParameter("every degree set contains 1")

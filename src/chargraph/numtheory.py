@@ -120,9 +120,10 @@ def is_prime(n: int) -> bool:
     Miller-Rabin + strong Lucas above it.
 
     Miller-Rabin runs only the first k prime bases, k the least with n below
-    the k-th A014233 term: the bases proven for n's size.
+    the k-th A014233 term: the bases proven for n's size.  A non-int is
+    not prime.
     """
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -264,14 +265,14 @@ def prime_divisors(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, order=True)
 class PrimePower:
-    """A validated pair (base, exponent) with base prime and exponent >= 1."""
+    """A validated pair (base, exponent) with base prime and exponent an int >= 1."""
 
     base: int
     exponent: int
 
     def __post_init__(self) -> None:
-        if self.exponent < 1:
-            raise BadParameter(f"exponent must be positive, got {self.exponent}")
+        if not isinstance(self.exponent, int) or self.exponent < 1:
+            raise BadParameter(f"exponent must be a positive integer, got {self.exponent!r}")
         if not is_prime(self.base):
             raise BadParameter(f"base {self.base} is not prime")
 

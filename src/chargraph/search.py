@@ -97,10 +97,10 @@ def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecor
     one Type1 pair and a Type1 plus a Type4 pair (0, 1 and 2 pairs, named by
     SOLVABLE_SHAPES) on the smallest odd primes outside pi(2^(2 alpha) - 1).
     The two-pair model is the one-pair model times the Type4 pair, so its
-    graph is one join more.  Each model is classified through
-    classify_extremal_case and checked against the order bound, deciding it
-    once.  Covered catalog cases are certificate-checked; a failed
-    certificate surfaces as its own FAIL record."""
+    graph is one join more.  Each model's catalog case is read from the PSL2
+    and pair count it was built from, and the model is checked against the
+    order bound, deciding it once.  A covered case is certificate-checked; a
+    failed certificate surfaces as its own FAIL record."""
     lo, hi = _check_alpha_range(alpha_range)
     check_n_domain(n)
     records: list[VerificationRecord] = []
@@ -110,6 +110,6 @@ def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecor
         psl2 = PSL2(PrimePower(2, alpha))
         one_pair = Product((psl2, disconnected_pair("Type1", p1, p2)))
         models = (Product((psl2, abelian())), one_pair, Product((one_pair, disconnected_pair("Type4", p3, p4))))
-        for shape, model in zip(SOLVABLE_SHAPES, models):
-            records += _sweep_records(model, n, alpha=alpha, shape=shape)
+        for pairs, (shape, model) in enumerate(zip(SOLVABLE_SHAPES, models)):
+            records += _sweep_records(model, psl2, pairs, n, alpha=alpha, shape=shape)
     return records

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion and prints something, and the README
-quick start gives the values its comments state."""
+"""Every demo script runs to completion and prints something, demo 03 prints
+its recorded document, and the README quick start gives the values its
+comments state."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,6 +24,21 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+# sha256 of the stdout of demos/03_extremal_search.py, the one script that runs
+# classify_extremal_case, find_alphas, sweep_models and the Hamilton check together
+EXTREMAL_SEARCH_DEMO_SHA256 = "21ece9529cbd7354598e3bb410d14e716603261781a79bab9434cf04f5800dff"
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_extremal_search_demo_matches_the_recorded_digest(seed):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "03_extremal_search.py")],
+        cwd=ROOT, env=env, capture_output=True, timeout=300, check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == EXTREMAL_SEARCH_DEMO_SHA256
 
 
 def test_readme_quick_start():

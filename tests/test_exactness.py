@@ -422,3 +422,8 @@ def test_hamilton_characterization_range():
     assert all(verify_hamilton_characterization(f).passed for f in range(2, 96))
     with pytest.raises(OutOfRange):
         verify_hamilton_characterization(96)
+
+
+def test_hamilton_characterization_refuses_a_non_integer_f():
+    with pytest.raises(BadParameter, match="exponent must be a positive integer"):
+        verify_hamilton_characterization(2.5)

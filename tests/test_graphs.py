@@ -66,6 +66,11 @@ def test_vertices_must_be_prime():
         PrimeGraph((4, 5))
 
 
+def test_a_float_vertex_is_refused():
+    with pytest.raises(BadParameter, match="vertex 2.5 is not prime"):
+        PrimeGraph([2.5, 3, 5])
+
+
 def test_edges_canonical_and_validated():
     g = PrimeGraph((2, 3, 5), [(5, 2), (2, 3)])
     assert g.sorted_edges() == [(2, 3), (2, 5)]

@@ -45,6 +45,13 @@ def test_degree_set_validation():
     assert DegreeSet.of(1, 3, 3, 6).sorted() == (1, 3, 6)
 
 
+def test_degree_set_refuses_non_integers():
+    # a float or a string is refused, not truncated or parsed into another degree
+    for entry in (6.5, 6.0, "15"):
+        with pytest.raises(BadParameter, match="positive integers"):
+            DegreeSet.of(1, entry)
+
+
 def test_graph_from_degrees_spec_values():
     assert graph_from_degrees(DegreeSet.of(1)) == PrimeGraph(())
     g = graph_from_degrees(DegreeSet.of(1, 3, 6, 7, 8))

@@ -249,3 +249,13 @@ def test_prime_power_validation():
         PrimePower(6, 2)
     with pytest.raises(BadParameter):
         PrimePower(5, 0)
+
+
+def test_non_integers_are_neither_primes_nor_exponents():
+    # below 43^2 only trial division runs, which a float passes
+    assert not is_prime(2.5)
+    assert not is_prime(3.0)
+    with pytest.raises(BadParameter, match="exponent must be a positive integer"):
+        PrimePower(3, 2.0)
+    with pytest.raises(BadParameter, match="not prime"):
+        PrimePower(3.0, 2)

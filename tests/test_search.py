@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 
-from chargraph.errors import BadParameter, OutOfRange
-from chargraph.numtheory import prime_divisors
-from chargraph.search import find_alphas, fresh_primes, sweep_models
+from chargraph import exactness
+from chargraph.errors import AsymmetricPiSizes, BadParameter, OutOfRange, ShapeMismatch
+from chargraph.exactness import CATALOG, classify_extremal_case
+from chargraph.models import PSL2, Product, abelian, describe_model, disconnected_pair
+from chargraph.numtheory import PrimePower, prime_divisors
+from chargraph.search import SOLVABLE_SHAPES, find_alphas, fresh_primes, sweep_models
 
 
 def test_find_alphas_n5_k2_includes_alpha_6():
@@ -124,3 +129,73 @@ def test_sweep_records_are_deterministic():
         (r.check, r.description, r.passed, r.details) for r in second
     ]
 
+
+def _swept_models(alpha):
+    """The models sweep_models builds at alpha, rebuilt the same way, by shape."""
+    p1, p2, p3, p4 = fresh_primes(4, set(prime_divisors(2 ** (2 * alpha) - 1)) | {2})
+    psl2 = PSL2(PrimePower(2, alpha))
+    one_pair = Product((psl2, disconnected_pair("Type1", p1, p2)))
+    two_pairs = Product((one_pair, disconnected_pair("Type4", p3, p4)))
+    return dict(zip(SOLVABLE_SHAPES, (Product((psl2, abelian())), one_pair, two_pairs)))
+
+
+def test_the_sweep_and_classify_extremal_case_agree():
+    models = {alpha: _swept_models(alpha) for alpha in range(2, 49)}
+    cases = Counter()
+    for n in range(4, 10):
+        extremal = {}
+        for record in sweep_models(n, (2, 48)):
+            d = record.details
+            if record.check == "extremal_case":
+                extremal[d["model"]] = record
+                continue
+            model = models[d["alpha"]][d["shape"]]
+            assert describe_model(model) == d["model"]
+            try:
+                outcome = classify_extremal_case(model, n)
+            except AsymmetricPiSizes:
+                case = "asymmetric"
+            except ShapeMismatch:
+                case = "shape_mismatch"
+            else:
+                case = outcome.case
+            assert d["case"] == case, (n, d)
+            cases[case] += 1
+            case_record = extremal.pop(d["model"], None)
+            if case not in CATALOG:
+                assert case_record is None
+                continue
+            assert case_record.passed == outcome.verified
+            assert case_record.details["expected_order"] == outcome.expected_order
+        assert not extremal
+    assert cases == {
+        "a": 15, "b.i": 15, "b.ii": 13, "b.iii": 9,
+        "not_covered": 159, "shape_mismatch": 59, "asymmetric": 576,
+    }
+
+
+def test_a_sweep_raises_nothing(monkeypatch):
+    made = []
+
+    def counted(error):
+        class Counted(error):
+            def __init__(self, *args):
+                made.append(error)
+                super().__init__(*args)
+
+        return Counted
+
+    monkeypatch.setattr(exactness, "AsymmetricPiSizes", counted(AsymmetricPiSizes))
+    monkeypatch.setattr(exactness, "ShapeMismatch", counted(ShapeMismatch))
+    for n in range(4, 8):
+        sweep_models(n, (2, 48))
+    assert made == []
+    # the public classifier still raises both, on the models of
+    # test_classification_error_paths_from_one_pair_model
+    one_pair = Product((PSL2(PrimePower(2, 6)), disconnected_pair("Type1", 11, 17)))
+    unbalanced = Product((PSL2(PrimePower(2, 12)), disconnected_pair("Type1", 11, 19)))
+    with pytest.raises(ShapeMismatch):
+        classify_extremal_case(one_pair, 5)
+    with pytest.raises(AsymmetricPiSizes):
+        classify_extremal_case(unbalanced, 5)
+    assert made == [ShapeMismatch, AsymmetricPiSizes]
