@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 from collections.abc import Callable
-from pathlib import Path
 from typing import Any
 
 from .errors import ChargraphError, OutOfRange, TooLarge
@@ -113,7 +112,8 @@ def _read_input(path: str, parse: Callable[[str], Any] = str) -> Any:
     """The UTF-8 text of an input file, parsed; text it cannot decode or
     parse is a usage error, not a crash."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            return parse(file.read())
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ChargraphError(str(exc)) from None
 

@@ -79,6 +79,8 @@ class ExtremalCase:
 
 def check_n_domain(n: int) -> None:
     """Refuse an n outside the domain of n-exactness."""
+    if not isinstance(n, int):
+        raise BadParameter(f"n must be an integer, got {n!r}")
     if n < 4:
         raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
 

@@ -3,10 +3,11 @@ n-exactness test needs: maximum clique, odd cycles, bipartiteness,
 Hamiltonicity, components, and brute-force isomorphism for small instances.
 
 A graph is stored once, as per-vertex adjacency bitmasks over its ascending
-vertex tuple, and every search reads those masks.  The public constructor
-validates its input (prime vertices, no loops, known endpoints);
-complement, induced_subgraph and join derive their masks from graphs that
-already passed it, so they skip that validation.  join is n-ary: it merges
+vertex tuple, and nothing else: every search reads those masks, and the few
+lookups by vertex scan the tuple.  The public constructor validates its
+input (prime vertices, no loops, known endpoints); complement,
+induced_subgraph and join derive their masks from graphs that already
+passed it, so they skip that validation.  join is n-ary: it merges
 the vertices of all its graphs once and moves each graph's mask bits through
 one table per graph, the table induced_subgraph uses too.
 
@@ -43,12 +44,14 @@ class PrimeGraph:
     """Immutable simple graph whose vertices are primes.
 
     The graph is its ascending vertex tuple plus one adjacency bitmask per
-    vertex: bit j of the mask at index i is set when vertices[i] and
-    vertices[j] are adjacent.  Edges come out as (smaller, larger) pairs;
+    vertex, and holds nothing else: bit j of the mask at index i is set when
+    vertices[i] and vertices[j] are adjacent.  Lookups by vertex (in,
+    has_edge, neighbors) scan the tuple, so any value that is not a vertex,
+    hashable or not, is absent.  Edges come out as (smaller, larger) pairs;
     equality and hashing are structural (same vertex set, same edge set).
     """
 
-    __slots__ = ("vertices", "_index", "_adj")
+    __slots__ = ("vertices", "_adj")
 
     vertices: tuple[int, ...]
 
@@ -62,13 +65,12 @@ class PrimeGraph:
         for a, b in edges:
             if a == b:
                 raise BadParameter(f"loop at vertex {a}")
-            if a not in index or b not in index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise UnknownVertex(f"edge ({a}, {b}) has an endpoint outside the vertex set")
-            i, j = index[a], index[b]
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.vertices = verts
-        self._index = index
         self._adj = tuple(adj)
 
     @classmethod
@@ -77,7 +79,6 @@ class PrimeGraph:
         symmetric, loop-free masks, taken as they are."""
         g = object.__new__(cls)
         g.vertices = vertices
-        g._index = {v: i for i, v in enumerate(vertices)}
         g._adj = tuple(adj)
         return g
 
@@ -94,20 +95,20 @@ class PrimeGraph:
         return frozenset(self.sorted_edges())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self._index:
+        if v not in self.vertices:
             raise UnknownVertex(f"vertex {v} is not in the graph")
-        return frozenset(self.vertices[j] for j in _bits(self._adj[self._index[v]]))
+        return frozenset(self.vertices[j] for j in _bits(self._adj[self.vertices.index(v)]))
 
     def has_edge(self, a: int, b: int) -> bool:
-        i, j = self._index.get(a), self._index.get(b)
-        return i is not None and j is not None and bool(self._adj[i] >> j & 1)
+        verts = self.vertices
+        return a in verts and b in verts and bool(self._adj[verts.index(a)] >> verts.index(b) & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         verts = self.vertices
         return [(verts[i], verts[j]) for i, mask in enumerate(self._adj) for j in _bits(mask >> i << i)]
 
     def __contains__(self, v: int) -> bool:
-        return v in self._index
+        return v in self.vertices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeGraph):
@@ -172,7 +173,7 @@ def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
     if missing:
         raise UnknownVertex(f"vertices {missing} are not in the graph")
     verts = tuple(sorted(sub))
-    old = [g._index[v] for v in verts]
+    old = [g.vertices.index(v) for v in verts]
     bit = [0] * g.order  # a vertex outside the subset maps to no bit
     for k, i in enumerate(old):
         bit[i] = 1 << k
@@ -291,6 +292,8 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
     its best size, so when g is K_n-free it ends without finding or computing
     a maximum clique.
     """
+    if not isinstance(n, int):
+        raise BadParameter(f"clique-freeness needs an integer n, got {n!r}")
     if n < 2:
         raise BadParameter(f"clique-freeness needs n >= 2, got {n}")
     clique = _max_clique_above(g, n - 1)
@@ -344,8 +347,8 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
     min_length must be an odd integer >= 3; even values are a caller error.
     """
-    if min_length < 3 or min_length % 2 == 0:
-        raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length}")
+    if not isinstance(min_length, int) or min_length < 3 or min_length % 2 == 0:
+        raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length!r}")
     if min_length > g.order:
         return None
     return _first_cycle(g, min_length, is_bipartite(g))

@@ -7,7 +7,8 @@ factored through the same cache (Brillhart et al., Factorizations of b^n +- 1,
 1983).  Any other number, and every piece, is factored generically: one gcd with
 the product of a sieved table of small primes names the table primes that
 divide it, then Miller-Rabin primality plus Brent-cycle Pollard rho run on what
-remains.  Miller-Rabin uses only the prefix of prime bases proven for the
+remains.  The same table answers primality below 10^4 with one binary search;
+above it Miller-Rabin uses only the prefix of prime bases proven for the
 input's size (OEIS A014233).  Larger inputs are rejected outright instead of
 risking unbounded runtime.
 """
@@ -15,7 +16,7 @@ risking unbounded runtime.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,17 +120,18 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for n below the last A014233 term (~3.3e24),
     Miller-Rabin + strong Lucas above it.
 
-    Miller-Rabin runs only the first k prime bases, k the least with n below
-    the k-th A014233 term: the bases proven for n's size.  A non-int is
-    not prime.
+    n up to the last prime of the factoring sieve (9973) is looked up in that
+    table.  Above it, trial division by the Miller-Rabin bases comes first,
+    then Miller-Rabin runs only the first k prime bases, k the least with n
+    below the k-th A014233 term: the bases proven for n's size.  A non-int
+    is not prime.
     """
     if not isinstance(n, int) or n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    if n < 43 * 43:
-        return True
+    if n <= _SMALL_PRIMES[-1]:
+        return _SMALL_PRIMES[bisect_left(_SMALL_PRIMES, n)] == n
+    if any(n % p == 0 for p in _MR_BASES):
+        return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -56,6 +56,8 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
     k_target, read from the pi_minus and pi_plus of PSL2(2^alpha)."""
     lo, hi = _check_alpha_range(alpha_range)
     check_n_domain(n)
+    if not isinstance(k_target, int):
+        raise BadParameter(f"k target must be an integer, got {k_target!r}")
     # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
     case = "/".join(c for c, (dk, _, _) in CATALOG.items() if k_target - n == dk)
     if not case:
@@ -82,6 +84,8 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
 
 def fresh_primes(count: int, exclude) -> tuple[int, ...]:
     """The count smallest odd primes outside exclude."""
+    if not isinstance(count, int):
+        raise BadParameter(f"count must be an integer, got {count!r}")
     out: list[int] = []
     banned = set(exclude) | {2}
     candidate = 3

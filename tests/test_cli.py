@@ -173,6 +173,44 @@ def test_search_documents_match_the_recorded_digests_under_two_hash_seeds():
             assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest, (seed, k)
 
 
+# vertices on both sides of 9973, the last prime of the factoring sieve that
+# is_prime reads, and two Mersenne primes far past it
+SIEVE_BOUND_VERTICES = [9931, 9941, 9949, 9967, 9973, 10007, 10009, 10037, 2**31 - 1, 2**61 - 1]
+
+
+def sieve_bound_document(*extra: int) -> str:
+    """A ring on SIEVE_BOUND_VERTICES plus two chords, with extra vertices."""
+    ring = SIEVE_BOUND_VERTICES
+    edges = [[ring[i], ring[(i + 1) % len(ring)]] for i in range(len(ring))] + [[9931, 10007], [9973, 2**61 - 1]]
+    return json.dumps({"vertices": ring + list(extra), "edges": edges})
+
+
+def test_analyze_across_the_sieve_bound_matches_the_recorded_digest_under_two_hash_seeds(tmp_path):
+    """The analyze document at n = 4 of a graph whose vertices straddle the
+    sieve bound, pinned byte for byte in fresh interpreters under two hash
+    seeds, as the CI console-script step pins it."""
+    path = tmp_path / "bound.json"
+    path.write_text(sieve_bound_document())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", "--quiet", "analyze", "--n", "4", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "d56526c2a25380a97c42505f51d45b79c3304e2ec17cad175fcec585af7fe29f", seed
+
+
+def test_composites_on_either_side_of_the_sieve_bound_exit_2(tmp_path, capsys):
+    for composite in (9991, 10001):  # 97 * 103 below the bound, 73 * 137 above it
+        path = tmp_path / f"{composite}.json"
+        path.write_text(sieve_bound_document(composite))
+        expected = (2, "", f"error: vertex {composite} is not prime\n")
+        assert invoke(capsys, "analyze", "--n", "4", "--input", str(path)) == expected
+
+
 def test_model_graph_documents_match_the_recorded_digest():
     """The PSL2 graphs for q = 2^a, a in 2..90, and for the odd prime powers
     7 <= q < 2000, and the Suzuki graphs for m in 1..23, pinned byte for byte

@@ -90,6 +90,20 @@ def test_check_n_exact_parameter_validation():
         check_n_exact(PrimeGraph(primes), 5)
 
 
+@pytest.mark.parametrize("n", [5.0, 4.5, "5"], ids=["integral_float", "fraction", "string"])
+def test_check_n_exact_refuses_a_non_integer_n(n):
+    with pytest.raises(BadParameter, match=rf"^n must be an integer, got {n!r}$"):
+        check_n_exact(psl2_graph(64), n)
+
+
+def test_the_model_checks_refuse_a_non_integer_n():
+    model = Product((PSL2(PrimePower(2, 6)), abelian()))
+    with pytest.raises(BadParameter, match=r"^n must be an integer, got 5\.0$"):
+        verify_order_bound(model, 5.0)
+    with pytest.raises(BadParameter, match=r"^n must be an integer, got 5\.0$"):
+        classify_extremal_case(model, 5.0)
+
+
 def test_any_n_exact_graph_has_order_at_least_2n_minus_5():
     for mask in range(0, 2**15, 101):
         g = graph_from_mask(mask)

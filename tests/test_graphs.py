@@ -83,6 +83,29 @@ def test_edges_canonical_and_validated():
         g.neighbors(7)
 
 
+def test_graphs_hold_their_vertex_tuple_and_masks_only():
+    from chargraph.models import PSL2, DegreeSet, Product, disconnected_pair, graph_from_degrees, psl2_graph
+    from chargraph.numtheory import PrimePower
+
+    built = [
+        C5,
+        complement(C5),
+        join(C4, PrimeGraph((13, 17))),
+        induced_subgraph(C5, (2, 3, 5)),
+        graph_from_degrees(DegreeSet.of(1, 6, 35)),
+        psl2_graph(64),
+        Product((PSL2(PrimePower(2, 4)), disconnected_pair("Type1", 7, 11))).graph,
+    ]
+    for g in built:
+        assert type(g).__slots__ == ("vertices", "_adj")
+        assert not hasattr(g, "_index") and not hasattr(g, "__dict__"), g
+    # lookups by vertex scan the tuple: an unhashable value is just absent
+    assert ([3] in C5) is False
+    assert C5.has_edge([3], 5) is False and C5.has_edge(5, [3]) is False
+    with pytest.raises(UnknownVertex, match=r"^vertex \[3\] is not in the graph$"):
+        C5.neighbors([3])
+
+
 def test_structural_equality():
     g1 = PrimeGraph((3, 2), [(3, 2)])
     g2 = PrimeGraph((2, 3), [(2, 3)])
@@ -210,6 +233,11 @@ def test_is_kn_free():
     assert is_kn_free(PrimeGraph(()), 2) == (True, None)
 
 
+def test_is_kn_free_refuses_a_non_integer_n():
+    with pytest.raises(BadParameter, match=r"^clique-freeness needs an integer n, got 2\.5$"):
+        is_kn_free(complete_graph((2, 3, 5)), 2.5)
+
+
 def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():
     # complete multipartite graphs: greedy coloring in any order gives each
     # part one color, so with n - 1 parts every root branch is cut by the bound
@@ -306,6 +334,12 @@ def test_odd_cycle_rejects_even_target():
         longest_odd_cycle_at_least(C5, 4)
     with pytest.raises(BadParameter):
         longest_odd_cycle_at_least(C5, 1)
+
+
+def test_odd_cycle_refuses_a_non_integer_target():
+    for target in (5.0, "5"):
+        with pytest.raises(BadParameter, match=rf"^cycle length target must be an odd integer >= 3, got {target!r}$"):
+            longest_odd_cycle_at_least(C5, target)
 
 
 def test_odd_cycle_target_above_the_order():

@@ -443,4 +443,7 @@ def test_clique_unions_equal_their_validated_builds():
         degrees = DegreeSet.of(1, *(rng.randint(1, 10**6) for _ in range(rng.randint(0, 8))))
         built = graph_from_degrees(degrees)
         assert built == validated_union(*map(prime_divisors, degrees.sorted())), degrees
-        assert built._index == {v: i for i, v in enumerate(built.vertices)}
+        edges = set(built.sorted_edges())
+        assert all(v in built for v in built.vertices)
+        assert {(a, b) for a in built.vertices for b in built.neighbors(a) if a < b} == edges
+        assert {(a, b) for a, b in itertools.combinations(built.vertices, 2) if built.has_edge(a, b)} == edges

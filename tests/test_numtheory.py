@@ -165,11 +165,27 @@ def test_prime_divisors_multiplicative_on_coprime_pairs(a, b):
 
 
 def test_is_prime_matches_oracle():
-    # and around the A014233 terms where Miller-Rabin goes from one base to
-    # two, two to three and three to four
+    # every n up to 20000, across 9973, the last prime of the sieve, where the
+    # table lookup hands over to trial division and Miller-Rabin, and around
+    # the A014233 terms where Miller-Rabin goes from one base to two, two to
+    # three and three to four
     windows = [range(psi - 100, psi + 101) for psi in _PSI[:3]]
-    for n in itertools.chain(range(-3, 5000), *windows):
+    for n in itertools.chain(range(-3, 20_001), *windows):
         assert is_prime(n) == brute_is_prime(n), n
+
+
+def test_is_prime_reads_the_sieve_up_to_its_last_prime(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _mr_passes(*args)
+
+    monkeypatch.setattr(numtheory, "_mr_passes", counted)
+    assert numtheory._SMALL_PRIMES[-1] == 9973
+    assert [n for n in range(-3, 9974) if is_prime(n)] == list(numtheory._SMALL_PRIMES)
+    assert calls == []
+    assert is_prime(10_007) and calls
 
 
 def test_is_prime_large_values():

@@ -87,6 +87,23 @@ def test_fresh_primes_skip_excluded():
     assert fresh_primes(4, prime_divisors(2**12 - 1)) == (11, 17, 19, 23)
 
 
+def test_fresh_primes_refuses_a_non_integer_count():
+    with pytest.raises(BadParameter, match=r"^count must be an integer, got 2\.5$"):
+        fresh_primes(2.5, ())
+
+
+def test_find_alphas_refuses_a_non_integer_k_target():
+    with pytest.raises(BadParameter, match=r"^k target must be an integer, got 2\.0$"):
+        find_alphas(5, 2.0, (2, 12))
+
+
+def test_the_sweeps_refuse_a_non_integer_n():
+    with pytest.raises(BadParameter, match=r"^n must be an integer, got 5\.0$"):
+        find_alphas(5.0, 2, (2, 12))
+    with pytest.raises(BadParameter, match=r"^n must be an integer, got 5\.0$"):
+        sweep_models(5.0, (2, 8))
+
+
 def test_sweep_no_failures_and_cases_realized():
     records = sweep_models(5, (2, 12))
     assert records, "sweep produced no records"
