@@ -45,10 +45,10 @@ class PrimeGraph:
 
     The graph is its ascending vertex tuple plus one adjacency bitmask per
     vertex, and holds nothing else: bit j of the mask at index i is set when
-    vertices[i] and vertices[j] are adjacent.  Lookups by vertex (in,
-    has_edge, neighbors) scan the tuple, so any value that is not a vertex,
-    hashable or not, is absent.  Edges come out as (smaller, larger) pairs;
-    equality and hashing are structural (same vertex set, same edge set).
+    vertices[i] and vertices[j] are adjacent.  The constructor checks each
+    vertex (a prime int) and edge (a pair of int vertices) in one walk, and
+    lookups by vertex agree: 3.0, True or [3] is absent.  Edges come out as
+    (smaller, larger) pairs; equality and hashing are structural.
     """
 
     __slots__ = ("vertices", "_adj")
@@ -56,18 +56,23 @@ class PrimeGraph:
     vertices: tuple[int, ...]
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()) -> None:
-        verts = tuple(sorted(set(vertices)))
-        for v in verts:
+        vertices = tuple(vertices)
+        for v in vertices:  # before set(): a non-int, unhashable or not, is not prime
             if not is_prime(v):
-                raise BadParameter(f"vertex {v} is not prime")
+                raise BadParameter(f"vertex {v!r} is not prime")
+        verts = tuple(sorted(set(vertices)))
         index = {v: i for i, v in enumerate(verts)}
         adj = [0] * len(verts)
-        for a, b in edges:
+        for e in edges:
+            if not (isinstance(e, list) or isinstance(e, tuple)) or len(e) != 2:  # faster than one check on (list, tuple)
+                raise BadParameter(f"an edge is a 2-element tuple or list, got {e!r}")
+            a, b = e
             if a == b:
-                raise BadParameter(f"loop at vertex {a}")
-            i, j = index.get(a), index.get(b)
+                raise BadParameter(f"loop at vertex {a!r}")
+            i = index.get(a) if type(a) is int else None
+            j = index.get(b) if type(b) is int else None
             if i is None or j is None:
-                raise UnknownVertex(f"edge ({a}, {b}) has an endpoint outside the vertex set")
+                raise UnknownVertex(f"edge {(a, b)} has an endpoint outside the vertex set")
             adj[i] |= 1 << j
             adj[j] |= 1 << i
         self.vertices = verts
@@ -95,20 +100,22 @@ class PrimeGraph:
         return frozenset(self.sorted_edges())
 
     def neighbors(self, v: int) -> frozenset[int]:
-        if v not in self.vertices:
-            raise UnknownVertex(f"vertex {v} is not in the graph")
+        if v not in self:
+            raise UnknownVertex(f"vertex {v!r} is not in the graph")
         return frozenset(self.vertices[j] for j in _bits(self._adj[self.vertices.index(v)]))
 
     def has_edge(self, a: int, b: int) -> bool:
         verts = self.vertices
-        return a in verts and b in verts and bool(self._adj[verts.index(a)] >> verts.index(b) & 1)
+        if type(a) is not int or type(b) is not int or a not in verts or b not in verts:
+            return False
+        return bool(self._adj[verts.index(a)] >> verts.index(b) & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         verts = self.vertices
         return [(verts[i], verts[j]) for i, mask in enumerate(self._adj) for j in _bits(mask >> i << i)]
 
     def __contains__(self, v: int) -> bool:
-        return v in self.vertices
+        return type(v) is int and v in self.vertices
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeGraph):
@@ -132,6 +139,8 @@ class CycleWitness:
         object.__setattr__(self, "vertices_in_order", tuple(self.vertices_in_order))
         if len(self.vertices_in_order) < 3:
             raise BadParameter("a cycle has at least 3 vertices")
+        if set(map(type, self.vertices_in_order)) != {int}:
+            raise BadParameter(f"cycle vertices must be integers, got {self.vertices_in_order!r}")
         if len(set(self.vertices_in_order)) != len(self.vertices_in_order):
             raise BadParameter("cycle vertices must be distinct")
 

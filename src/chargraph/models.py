@@ -70,7 +70,7 @@ class PSL2:
     def __post_init__(self) -> None:
         # the graph factors q +- 1; checked before _psl2_prime_power, so PSL2 names this cap for an int q too
         value = self.q.value if isinstance(self.q, PrimePower) else self.q
-        if value + 1 >= FACTOR_LIMIT:
+        if isinstance(value, int) and value + 1 >= FACTOR_LIMIT:  # any other type is refused next
             raise OutOfRange(f"PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {self.q}")
         q = _psl2_prime_power(self.q)
         object.__setattr__(self, "q", q)
@@ -80,8 +80,10 @@ class PSL2:
 
 
 def _psl2_prime_power(q: PrimePower | int) -> PrimePower:
-    """q as a prime power, refused unless it is one and q >= 4."""
+    """q as a prime power, refused unless q is an int or a PrimePower, a prime power and >= 4."""
     value = q.value if isinstance(q, PrimePower) else q
+    if not isinstance(value, int):
+        raise BadParameter(f"PSL2 needs q to be an int or a PrimePower, got {q!r}")
     if value < 4:  # before factoring, which would refuse q < 2 as out of range
         raise BadParameter(f"PSL2 needs q >= 4, got {value}")
     if isinstance(q, PrimePower):
@@ -102,6 +104,8 @@ class Suzuki:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.m, int):
+            raise BadParameter(f"Suzuki needs an integer m, got {self.m!r}")
         if self.m < 1:
             raise BadParameter(f"Suzuki needs m >= 1, got {self.m}")
         if self.m > _SUZUKI_M_MAX:
@@ -155,6 +159,8 @@ class Product:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.factors, (tuple, list)):
+            raise BadParameter(f"a product's factors are a tuple or list of models, got {self.factors!r}")
         given = tuple(self.factors)
         if not given:
             raise BadParameter("a product needs at least one factor")

@@ -44,8 +44,11 @@ class SearchResult:
 
 
 def _check_alpha_range(alpha_range: tuple[int, int]) -> tuple[int, int]:
-    """(lo, hi), refused when empty (no vacuous pass) or outside [2, ALPHA_CAP]."""
+    """(lo, hi), refused when a bound is not an int, and when the range is
+    empty (no vacuous pass) or outside [2, ALPHA_CAP]."""
     lo, hi = alpha_range
+    if not (isinstance(lo, int) and isinstance(hi, int)):
+        raise BadParameter(f"alpha range bounds must be integers, got {alpha_range!r}")
     if lo < 2 or hi > ALPHA_CAP or hi < lo:
         raise OutOfRange(f"alpha range must lie within [2, {ALPHA_CAP}], got [{lo}, {hi}]")
     return lo, hi

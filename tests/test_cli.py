@@ -6,10 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import contextlib
+import io
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargraph.cli import build_parser, document_to_graph, graph_to_document, graph_to_dot, run
 from chargraph.errors import ChargraphError
+from chargraph.graphs import PrimeGraph
 from chargraph.models import psl2_graph, suzuki_graph
 from chargraph.numtheory import as_prime_power
 from chargraph.search import sweep_models
@@ -36,18 +43,24 @@ def test_document_validation():
     vertices_message = '"vertices" must be a list of integers'
     edges_message = '"edges" must be a list of 2-element integer lists'
     metadata_message = '"metadata" must be an object when present'
+    outside = "has an endpoint outside the vertex set"
     cases = [
         ([], "graph document must be a JSON object"),
         ({"vertices": "nope"}, vertices_message),
-        ({"vertices": [3, 5, True]}, vertices_message),
         ({"vertices": [2, 3], "edges": {"2": 3}}, edges_message),
-        ({"vertices": [2, 3], "edges": [[2]]}, edges_message),
-        ({"vertices": [2, 3, 5], "edges": [[2, 3, 5]]}, edges_message),
-        ({"vertices": [2, 3], "edges": [[2, "3"]]}, edges_message),
-        ({"vertices": [2, 3], "edges": [2, 3]}, edges_message),
-        ({"vertices": [2, 3], "edges": [[2, 3], [False, 3]]}, edges_message),
-        ({"vertices": [2, 3], "edges": [[2, True]]}, edges_message),
         ({"vertices": [2, 3], "metadata": [1]}, metadata_message),
+        # the document's elements are checked by PrimeGraph, in its own words
+        ({"vertices": [3, 5, True]}, "vertex True is not prime"),
+        ({"vertices": [3, 5.0]}, "vertex 5.0 is not prime"),
+        ({"vertices": [3, [5]]}, "vertex [5] is not prime"),
+        ({"vertices": [2, 3], "edges": [[2]]}, "an edge is a 2-element tuple or list, got [2]"),
+        ({"vertices": [2, 3, 5], "edges": [[2, 3, 5]]}, "an edge is a 2-element tuple or list, got [2, 3, 5]"),
+        ({"vertices": [2, 3], "edges": [2, 3]}, "an edge is a 2-element tuple or list, got 2"),
+        ({"vertices": [2, 3], "edges": [[2, "3"]]}, f"edge (2, '3') {outside}"),
+        ({"vertices": [2, 3], "edges": [[2, 3], [False, 3]]}, f"edge (False, 3) {outside}"),
+        ({"vertices": [2, 3], "edges": [[2, True]]}, f"edge (2, True) {outside}"),
+        ({"vertices": [3, 5], "edges": [[3.0, 5]]}, f"edge (3.0, 5) {outside}"),
+        ({"vertices": [3, 5], "edges": [[[3], 5]]}, f"edge ([3], 5) {outside}"),
         # falsy non-objects are refused too, not read as absent metadata
         ({"vertices": [2, 3], "metadata": []}, metadata_message),
         ({"vertices": [2, 3], "metadata": ""}, metadata_message),
@@ -58,6 +71,63 @@ def test_document_validation():
         with pytest.raises(ChargraphError) as info:
             document_to_graph(doc)
         assert str(info.value) == message, doc
+
+
+# JSON values of every kind, beside lists of small primes and prime pairs
+# common enough that many documents build a graph with edges
+PRIMES = st.sampled_from((2, 3, 5, 7, 11))
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers(-12, 12) | st.floats() | st.text(max_size=3)
+    | PRIMES | st.sampled_from((3.0, 5.0, 2**70))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children, max_size=2),
+    max_leaves=6,
+)
+VERTEX_LISTS = st.lists(PRIMES | JSON_VALUES, max_size=6)
+EDGE_LISTS = st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2) | JSON_VALUES, max_size=6)
+# (vertices, edges): a graph's, or elements of any kind
+GRAPH_PARTS = st.lists(PRIMES, min_size=2, max_size=5, unique=True).flatmap(
+    lambda vs: st.tuples(st.just(vs), st.lists(st.lists(st.sampled_from(vs), min_size=2, max_size=2, unique=True)))
+) | st.tuples(VERTEX_LISTS, EDGE_LISTS)
+
+
+def assert_round_trips(g: PrimeGraph) -> None:
+    assert document_to_graph(json.loads(json.dumps(graph_to_document(g)))) == (g, {})
+
+
+@settings(max_examples=400, deadline=None)
+@given(GRAPH_PARTS)
+def test_prime_graph_builds_or_refuses_any_json_elements(parts):
+    vertices, edges = parts
+    try:
+        g = PrimeGraph(vertices, edges)
+    except ChargraphError:
+        return
+    assert all(type(v) is int for v in g.vertices)
+    assert_round_trips(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_PARTS, JSON_VALUES, JSON_VALUES, st.integers(0, 2))
+def test_any_json_document_builds_or_is_refused_and_analyze_exits_0_or_2(parts, other_vertices, other_edges, swap):
+    # swap 1 or 2 puts a JSON value of any kind, a list or not, in place of the vertices or the edges
+    vertices, edges = parts
+    doc = {"vertices": other_vertices if swap == 1 else vertices, "edges": other_edges if swap == 2 else edges}
+    try:
+        assert_round_trips(document_to_graph(doc)[0])
+    except ChargraphError:
+        pass
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "graph.json")
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["--quiet", "analyze", "--n", "4", "--input", str(path)])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def test_dot_output_shape():
@@ -209,6 +279,18 @@ def test_composites_on_either_side_of_the_sieve_bound_exit_2(tmp_path, capsys):
         path.write_text(sieve_bound_document(composite))
         expected = (2, "", f"error: vertex {composite} is not prime\n")
         assert invoke(capsys, "analyze", "--n", "4", "--input", str(path)) == expected
+
+
+def test_float_endpoints_and_bool_vertices_exit_2_with_the_library_message(tmp_path, capsys):
+    cases = [
+        ({"vertices": [3, 5], "edges": [[3.0, 5]]}, "edge (3.0, 5) has an endpoint outside the vertex set"),
+        ({"vertices": [3, 5, True], "edges": []}, "vertex True is not prime"),
+    ]
+    for doc, message in cases:
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        expected = (2, "", f"error: {message}\n")
+        assert invoke(capsys, "--quiet", "analyze", "--n", "4", "--input", str(path)) == expected
 
 
 def test_model_graph_documents_match_the_recorded_digest():

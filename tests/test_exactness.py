@@ -161,6 +161,8 @@ def test_alternating_witness_validation():
         alternating_cycle_witness(2, (3, 5), (5, 7))
     with pytest.raises(BadParameter):
         alternating_cycle_witness(2, (2, 3), (5,))
+    with pytest.raises(BadParameter, match=r"^cycle vertices must be integers, got \(2, 3, 5\.0\)$"):
+        alternating_cycle_witness(2, [3], [5.0])
 
 
 def test_alternating_witness_validates_in_psl2_complements():

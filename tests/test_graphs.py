@@ -83,6 +83,40 @@ def test_edges_canonical_and_validated():
         g.neighbors(7)
 
 
+def test_malformed_input_is_refused_with_a_library_error():
+    cases = [
+        (lambda: PrimeGraph([[3]]), BadParameter, r"^vertex \[3\] is not prime$"),
+        (lambda: PrimeGraph([3, {"5": 5}]), BadParameter, r"^vertex \{'5': 5\} is not prime$"),
+        (lambda: PrimeGraph([3, True]), BadParameter, r"^vertex True is not prime$"),
+        (lambda: PrimeGraph((3, 5), [(3.0, 5)]), UnknownVertex, r"^edge \(3\.0, 5\) has an endpoint outside"),
+        (lambda: PrimeGraph((3, 5), [(3, True)]), UnknownVertex, r"^edge \(3, True\) has an endpoint outside"),
+        (lambda: PrimeGraph((3, 5), [([3], 5)]), UnknownVertex, r"^edge \(\[3\], 5\) has an endpoint outside"),
+        (lambda: PrimeGraph((3, 5), [(3, "5")]), UnknownVertex, r"^edge \(3, '5'\) has an endpoint outside"),
+        (lambda: PrimeGraph((3, 5, 7), [(3, 5, 7)]), BadParameter, r"^an edge is a 2-element tuple or list, got \(3, 5, 7\)$"),
+        (lambda: PrimeGraph((3, 5), [(3,)]), BadParameter, r"^an edge is a 2-element tuple or list, got \(3,\)$"),
+        (lambda: PrimeGraph((3, 5), [35]), BadParameter, r"^an edge is a 2-element tuple or list, got 35$"),
+        (lambda: PrimeGraph((3, 5), ["35"]), BadParameter, r"^an edge is a 2-element tuple or list, got '35'$"),
+        (lambda: PrimeGraph((3, 5), [{3, 5}]), BadParameter, r"^an edge is a 2-element tuple or list, got \{3, 5\}$"),
+        (lambda: PrimeGraph((3, 5), [[5, 5]]), BadParameter, r"^loop at vertex 5$"),
+    ]
+    for build, error, pattern in cases:
+        with pytest.raises(error, match=pattern):
+            build()
+    # a list edge and a generator of vertices are accepted as before
+    assert PrimeGraph((p for p in (5, 3)), [[3, 5]]) == PrimeGraph((3, 5), [(3, 5)])
+
+
+def test_lookups_agree_with_the_constructor_on_what_a_vertex_is():
+    g = PrimeGraph((3, 5, 7), [(3, 5), (5, 7)])
+    for value in (3.0, 5.0, True, [3], "3"):
+        assert value not in g
+        assert g.has_edge(value, 5) is False and g.has_edge(5, value) is False
+        with pytest.raises(UnknownVertex) as info:
+            g.neighbors(value)
+        assert str(info.value) == f"vertex {value!r} is not in the graph"
+    assert 3 in g and g.has_edge(3, 5) and g.neighbors(5) == {3, 7}
+
+
 def test_graphs_hold_their_vertex_tuple_and_masks_only():
     from chargraph.models import PSL2, DegreeSet, Product, disconnected_pair, graph_from_degrees, psl2_graph
     from chargraph.numtheory import PrimePower
@@ -690,6 +724,9 @@ def test_cycle_witness_validation():
         CycleWitness((2, 3))
     with pytest.raises(BadParameter):
         CycleWitness((2, 3, 2))
+    for vertices in (([1], [2], [3]), (2, 3, 5.0), (2, True, 5), (2, 3, "5")):
+        with pytest.raises(BadParameter, match=r"^cycle vertices must be integers, got "):
+            CycleWitness(vertices)
     w = CycleWitness((2, 3, 5))
     assert w.length == 3
     assert w.validates_in(complete_graph((2, 3, 5)))

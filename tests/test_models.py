@@ -173,6 +173,22 @@ def test_suzuki_graph_bad_m():
         suzuki_graph(0)
 
 
+def test_model_parameters_of_the_wrong_type_are_refused():
+    psl2_message = r"^PSL2 needs q to be an int or a PrimePower, got {}$"
+    for q, shown in ((4.0, r"4\.0"), (8.0, r"8\.0"), ("4", "'4'"), (None, "None")):
+        for build in (PSL2, psl2_graph, psl2_degree_oracle):
+            with pytest.raises(BadParameter, match=psl2_message.format(shown)):
+                build(q)
+    for m, shown in (("1", "'1'"), (2.5, r"2\.5"), (1.0, r"1\.0")):
+        with pytest.raises(BadParameter, match=rf"^Suzuki needs an integer m, got {shown}$"):
+            Suzuki(m)
+    for factors in (5, None, abelian()):
+        with pytest.raises(BadParameter, match=r"^a product's factors are a tuple or list of models, got "):
+            Product(factors)
+    # a list of factors is still a product, equal to the tuple form
+    assert Product([abelian()]) == Product((abelian(),))
+
+
 def test_suzuki_graph_out_of_range():
     with pytest.raises(OutOfRange):
         suzuki_graph(24)  # q^4 + 1 = 2^98 + 1 exceeds the factorization cap

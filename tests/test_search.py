@@ -104,6 +104,16 @@ def test_the_sweeps_refuse_a_non_integer_n():
         sweep_models(5.0, (2, 8))
 
 
+def test_the_sweeps_refuse_non_integer_alpha_bounds():
+    message = r"^alpha range bounds must be integers, got \({}\)$"
+    with pytest.raises(BadParameter, match=message.format(r"2\.5, 10")):
+        find_alphas(5, 2, (2.5, 10))
+    with pytest.raises(BadParameter, match=message.format(r"2, 3\.0")):
+        sweep_models(5, (2, 3.0))
+    with pytest.raises(BadParameter, match=message.format("'2', 4")):
+        find_alphas(5, 2, ("2", 4))
+
+
 def test_sweep_no_failures_and_cases_realized():
     records = sweep_models(5, (2, 12))
     assert records, "sweep produced no records"
