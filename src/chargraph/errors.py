@@ -37,3 +37,10 @@ class ShapeMismatch(ChargraphError):
 
 class AsymmetricPiSizes(ChargraphError):
     """The two prime-divisor counts |pi(2^a - 1)| and |pi(2^a + 1)| differ where equality is required."""
+
+
+def require_int(name: str, value: object) -> int:
+    """value, refused with BadParameter unless it is an int; a bool is not one."""
+    if type(value) is not int:
+        raise BadParameter(f"{name} must be an integer, got {value!r}")
+    return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import AsymmetricPiSizes, BadParameter, ShapeMismatch, TooLarge
+from .errors import AsymmetricPiSizes, BadParameter, ShapeMismatch, TooLarge, require_int
 from .graphs import (
     MAX_CYCLE_VERTICES,
     CycleWitness,
@@ -79,9 +79,7 @@ class ExtremalCase:
 
 def check_n_domain(n: int) -> None:
     """Refuse an n outside the domain of n-exactness."""
-    if not isinstance(n, int):
-        raise BadParameter(f"n must be an integer, got {n!r}")
-    if n < 4:
+    if require_int("n", n) < 4:
         raise BadParameter(f"n-exactness is defined for n >= 4, got {n}")
 
 
@@ -127,6 +125,9 @@ def alternating_cycle_witness(u: int, minus_part, plus_part) -> CycleWitness:
     consecutive entries always lie in different components of the PSL2(q)
     graph, so the cycle is valid in that graph's complement.
     """
+    minus_part, plus_part = tuple(minus_part), tuple(plus_part)
+    for v in (u, *minus_part, *plus_part):  # before set(), which needs hashable entries
+        require_int("cycle vertex", v)
     minus = tuple(sorted(set(minus_part)))
     plus = tuple(sorted(set(plus_part)))
     if not minus or not plus:
@@ -263,7 +264,7 @@ def verify_hamilton_characterization(f: int) -> VerificationRecord:
     PSL2(q) model.  Only factoring caps f: PSL2 refuses q from 2^96 on
     (OutOfRange); below it no complement has more than 22 vertices, within
     the cycle search's cap."""
-    if f < 2:
+    if require_int("f", f) < 2:
         raise BadParameter(f"f must be at least 2, got {f}")
     psl2 = PSL2(PrimePower(2, f))
     comp = complement(psl2.graph)

@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import BadParameter, TooLarge, UnknownVertex, VertexClash
+from .errors import BadParameter, TooLarge, UnknownVertex, VertexClash, require_int
 from .numtheory import is_prime
 
 MAX_CLIQUE_VERTICES = 64
@@ -177,6 +177,10 @@ def complement(g: PrimeGraph) -> PrimeGraph:
 
 
 def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
+    subset = tuple(subset)
+    for v in subset:  # before set(): 3.0, True or [3] is absent, as membership says
+        if type(v) is not int:
+            raise UnknownVertex(f"vertex {v!r} is not in the graph")
     sub = set(subset)
     missing = sorted(sub - set(g.vertices))
     if missing:
@@ -301,9 +305,7 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
     its best size, so when g is K_n-free it ends without finding or computing
     a maximum clique.
     """
-    if not isinstance(n, int):
-        raise BadParameter(f"clique-freeness needs an integer n, got {n!r}")
-    if n < 2:
+    if require_int("n", n) < 2:
         raise BadParameter(f"clique-freeness needs n >= 2, got {n}")
     clique = _max_clique_above(g, n - 1)
     if not clique:
@@ -356,7 +358,7 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
     min_length must be an odd integer >= 3; even values are a caller error.
     """
-    if not isinstance(min_length, int) or min_length < 3 or min_length % 2 == 0:
+    if type(min_length) is not int or min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length!r}")
     if min_length > g.order:
         return None

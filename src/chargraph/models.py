@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Union
 
-from .errors import BadParameter, ModelError, OutOfRange
+from .errors import BadParameter, ModelError, OutOfRange, require_int
 from .graphs import PrimeGraph, join
 from .numtheory import FACTOR_LIMIT, PrimePower, as_prime_power, prime_divisors
 
@@ -40,16 +40,16 @@ class DegreeSet:
     degrees: frozenset[int]
 
     def __post_init__(self) -> None:
-        degs = frozenset(self.degrees)
-        object.__setattr__(self, "degrees", degs)
-        if not degs or not all(isinstance(d, int) and d >= 1 for d in degs):
+        degrees = tuple(self.degrees)  # checked before frozenset(), which would merge True into 1
+        if not degrees or not all(type(d) is int and d >= 1 for d in degrees):
             raise BadParameter("character degrees are positive integers")
-        if 1 not in degs:
+        object.__setattr__(self, "degrees", frozenset(degrees))
+        if 1 not in degrees:
             raise BadParameter("every degree set contains 1")
 
     @classmethod
     def of(cls, *degrees: int) -> DegreeSet:
-        return cls(frozenset(degrees))
+        return cls(degrees)
 
     def sorted(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees))
@@ -70,7 +70,7 @@ class PSL2:
     def __post_init__(self) -> None:
         # the graph factors q +- 1; checked before _psl2_prime_power, so PSL2 names this cap for an int q too
         value = self.q.value if isinstance(self.q, PrimePower) else self.q
-        if isinstance(value, int) and value + 1 >= FACTOR_LIMIT:  # any other type is refused next
+        if require_int("q", value) + 1 >= FACTOR_LIMIT:
             raise OutOfRange(f"PSL2 needs q + 1 < 2**96 to factor q +- 1, got q = {self.q}")
         q = _psl2_prime_power(self.q)
         object.__setattr__(self, "q", q)
@@ -82,9 +82,7 @@ class PSL2:
 def _psl2_prime_power(q: PrimePower | int) -> PrimePower:
     """q as a prime power, refused unless q is an int or a PrimePower, a prime power and >= 4."""
     value = q.value if isinstance(q, PrimePower) else q
-    if not isinstance(value, int):
-        raise BadParameter(f"PSL2 needs q to be an int or a PrimePower, got {q!r}")
-    if value < 4:  # before factoring, which would refuse q < 2 as out of range
+    if require_int("q", value) < 4:  # before factoring, which would refuse q < 2 as out of range
         raise BadParameter(f"PSL2 needs q >= 4, got {value}")
     if isinstance(q, PrimePower):
         return q
@@ -104,9 +102,7 @@ class Suzuki:
     graph: PrimeGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int):
-            raise BadParameter(f"Suzuki needs an integer m, got {self.m!r}")
-        if self.m < 1:
+        if require_int("m", self.m) < 1:
             raise BadParameter(f"Suzuki needs m >= 1, got {self.m}")
         if self.m > _SUZUKI_M_MAX:
             raise OutOfRange(f"Suzuki needs m <= {_SUZUKI_M_MAX}, got {self.m}")

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadParameter, OutOfRange
+from .errors import BadParameter, OutOfRange, require_int
 
 FACTOR_LIMIT = 1 << 96
 
@@ -126,7 +126,7 @@ def is_prime(n: int) -> bool:
     below the k-th A014233 term: the bases proven for n's size.  A non-int
     is not prime.
     """
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         return False
     if n <= _SMALL_PRIMES[-1]:
         return _SMALL_PRIMES[bisect_left(_SMALL_PRIMES, n)] == n
@@ -206,16 +206,17 @@ def _binomial_pieces(n: int) -> list[int]:
     return [v for v in pieces if v > 1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple[int, ...]:
     """Prime factors of n with multiplicity, ascending.
 
     n = 2^m +- 1 is factored piece by piece (`_binomial_pieces`), each piece
     through this cache, so pieces that 2^a - 1, 2^a + 1 and 2^(2a) - 1 share
     are factored once; other n go to `_factor_generic`.
-    Raises OutOfRange unless 2 <= n < 2**96.
+    Raises BadParameter unless n is an int (the cache is typed, so 12.0 or
+    True is never answered as 12 or 1), and OutOfRange unless 2 <= n < 2**96.
     """
-    if n < 2 or n >= FACTOR_LIMIT:
+    if require_int("n", n) < 2 or n >= FACTOR_LIMIT:
         raise OutOfRange(f"factorize requires 2 <= n < 2**96, got {n}")
     pieces = _binomial_pieces(n)
     if len(pieces) > 1:
@@ -258,7 +259,7 @@ def _factor_generic(n: int) -> tuple[int, ...]:
 
 def prime_divisors(n: int) -> tuple[int, ...]:
     """The set of prime divisors of n, ascending; empty for n = 1."""
-    if n < 1 or n >= FACTOR_LIMIT:
+    if require_int("n", n) < 1 or n >= FACTOR_LIMIT:
         raise OutOfRange(f"prime_divisors requires 1 <= n < 2**96, got {n}")
     if n == 1:
         return ()
@@ -273,7 +274,7 @@ class PrimePower:
     exponent: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or self.exponent < 1:
+        if type(self.exponent) is not int or self.exponent < 1:
             raise BadParameter(f"exponent must be a positive integer, got {self.exponent!r}")
         if not is_prime(self.base):
             raise BadParameter(f"base {self.base} is not prime")
@@ -288,7 +289,7 @@ class PrimePower:
 
 def as_prime_power(n: int) -> PrimePower | None:
     """Write n as p^f if it is a prime power, else None."""
-    if n < 2 or n >= FACTOR_LIMIT:
+    if require_int("n", n) < 2 or n >= FACTOR_LIMIT:
         raise OutOfRange(f"as_prime_power requires 2 <= n < 2**96, got {n}")
     factors = factorize(n)
     if factors.count(factors[0]) != len(factors):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameter, OutOfRange
+from .errors import BadParameter, OutOfRange, require_int
 from .exactness import CATALOG, VerificationRecord, _sweep_records, check_n_domain
 from .models import PSL2, Product, abelian, disconnected_pair
 from .numtheory import PrimePower, is_prime, prime_divisors
@@ -44,11 +44,11 @@ class SearchResult:
 
 
 def _check_alpha_range(alpha_range: tuple[int, int]) -> tuple[int, int]:
-    """(lo, hi), refused when a bound is not an int, and when the range is
+    """(lo, hi), refused when the range is not a pair of ints, and when it is
     empty (no vacuous pass) or outside [2, ALPHA_CAP]."""
-    lo, hi = alpha_range
-    if not (isinstance(lo, int) and isinstance(hi, int)):
-        raise BadParameter(f"alpha range bounds must be integers, got {alpha_range!r}")
+    if not isinstance(alpha_range, (tuple, list)) or len(alpha_range) != 2:
+        raise BadParameter(f"an alpha range is a 2-element tuple or list, got {alpha_range!r}")
+    lo, hi = require_int("alpha range start", alpha_range[0]), require_int("alpha range end", alpha_range[1])
     if lo < 2 or hi > ALPHA_CAP or hi < lo:
         raise OutOfRange(f"alpha range must lie within [2, {ALPHA_CAP}], got [{lo}, {hi}]")
     return lo, hi
@@ -59,8 +59,7 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
     k_target, read from the pi_minus and pi_plus of PSL2(2^alpha)."""
     lo, hi = _check_alpha_range(alpha_range)
     check_n_domain(n)
-    if not isinstance(k_target, int):
-        raise BadParameter(f"k target must be an integer, got {k_target!r}")
+    require_int("k target", k_target)
     # the catalog cases at this k, in table order ("a/b.i" at k = n-3)
     case = "/".join(c for c, (dk, _, _) in CATALOG.items() if k_target - n == dk)
     if not case:
@@ -87,8 +86,7 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
 
 def fresh_primes(count: int, exclude) -> tuple[int, ...]:
     """The count smallest odd primes outside exclude."""
-    if not isinstance(count, int):
-        raise BadParameter(f"count must be an integer, got {count!r}")
+    require_int("count", count)
     out: list[int] = []
     banned = set(exclude) | {2}
     candidate = 3

@@ -161,8 +161,10 @@ def test_alternating_witness_validation():
         alternating_cycle_witness(2, (3, 5), (5, 7))
     with pytest.raises(BadParameter):
         alternating_cycle_witness(2, (2, 3), (5,))
-    with pytest.raises(BadParameter, match=r"^cycle vertices must be integers, got \(2, 3, 5\.0\)$"):
-        alternating_cycle_witness(2, [3], [5.0])
+    # each entry is checked before the parts become sets, which an unhashable entry would break
+    for u, minus, plus, shown in ((2, [3], [5.0], r"5\.0"), (2, [[3]], [5], r"\[3\]"), (True, [3], [5], "True")):
+        with pytest.raises(BadParameter, match=rf"^cycle vertex must be an integer, got {shown}$"):
+            alternating_cycle_witness(u, minus, plus)
 
 
 def test_alternating_witness_validates_in_psl2_complements():
@@ -441,5 +443,6 @@ def test_hamilton_characterization_range():
 
 
 def test_hamilton_characterization_refuses_a_non_integer_f():
-    with pytest.raises(BadParameter, match="exponent must be a positive integer"):
-        verify_hamilton_characterization(2.5)
+    for f, shown in ((2.5, r"2\.5"), ("3", "'3'"), (True, "True"), (3.0, r"3\.0")):
+        with pytest.raises(BadParameter, match=rf"^f must be an integer, got {shown}$"):
+            verify_hamilton_characterization(f)

@@ -176,8 +176,15 @@ def test_induced_subgraph():
     assert induced_subgraph(g, g.vertices) == g
     sub = induced_subgraph(g, (2, 3, 5))
     assert sub.sorted_edges() == [(2, 3), (3, 5)]
-    with pytest.raises(UnknownVertex):
-        induced_subgraph(g, (2, 17))
+    with pytest.raises(UnknownVertex, match=r"^vertices \[17, 19\] are not in the graph$"):
+        induced_subgraph(g, (19, 2, 17, 19))
+
+
+def test_induced_subgraph_refuses_a_non_integer_vertex():
+    # 3.0 equals a vertex of C5 and [3] cannot be hashed; each, like True, is absent
+    for v, shown in ((3.0, r"3\.0"), (True, "True"), ([3], r"\[3\]"), ("3", "'3'")):
+        with pytest.raises(UnknownVertex, match=rf"^vertex {shown} is not in the graph$"):
+            induced_subgraph(C5, (2, v, 5))
 
 
 def test_induced_psl2_11_is_a_path():
@@ -268,8 +275,9 @@ def test_is_kn_free():
 
 
 def test_is_kn_free_refuses_a_non_integer_n():
-    with pytest.raises(BadParameter, match=r"^clique-freeness needs an integer n, got 2\.5$"):
-        is_kn_free(complete_graph((2, 3, 5)), 2.5)
+    for n, shown in ((2.5, r"2\.5"), (True, "True")):
+        with pytest.raises(BadParameter, match=rf"^n must be an integer, got {shown}$"):
+            is_kn_free(complete_graph((2, 3, 5)), n)
 
 
 def test_is_kn_free_when_the_coloring_bound_prunes_at_the_root():

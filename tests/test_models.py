@@ -46,10 +46,12 @@ def test_degree_set_validation():
 
 
 def test_degree_set_refuses_non_integers():
-    # a float or a string is refused, not truncated or parsed into another degree
-    for entry in (6.5, 6.0, "15"):
+    # a float, a string or a bool is refused, not truncated, parsed or read as 1
+    for entry in (6.5, 6.0, "15", True):
         with pytest.raises(BadParameter, match="positive integers"):
             DegreeSet.of(1, entry)
+    with pytest.raises(BadParameter, match="positive integers"):
+        DegreeSet.of(True, 6)
 
 
 def test_graph_from_degrees_spec_values():
@@ -174,13 +176,13 @@ def test_suzuki_graph_bad_m():
 
 
 def test_model_parameters_of_the_wrong_type_are_refused():
-    psl2_message = r"^PSL2 needs q to be an int or a PrimePower, got {}$"
-    for q, shown in ((4.0, r"4\.0"), (8.0, r"8\.0"), ("4", "'4'"), (None, "None")):
+    psl2_message = r"^q must be an integer, got {}$"
+    for q, shown in ((4.0, r"4\.0"), (8.0, r"8\.0"), ("4", "'4'"), (None, "None"), (True, "True")):
         for build in (PSL2, psl2_graph, psl2_degree_oracle):
             with pytest.raises(BadParameter, match=psl2_message.format(shown)):
                 build(q)
-    for m, shown in (("1", "'1'"), (2.5, r"2\.5"), (1.0, r"1\.0")):
-        with pytest.raises(BadParameter, match=rf"^Suzuki needs an integer m, got {shown}$"):
+    for m, shown in (("1", "'1'"), (2.5, r"2\.5"), (1.0, r"1\.0"), (True, "True")):
+        with pytest.raises(BadParameter, match=rf"^m must be an integer, got {shown}$"):
             Suzuki(m)
     for factors in (5, None, abelian()):
         with pytest.raises(BadParameter, match=r"^a product's factors are a tuple or list of models, got "):

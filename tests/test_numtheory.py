@@ -43,6 +43,16 @@ def test_factorize_range_errors():
     assert math.prod(factorize(FACTOR_LIMIT - 1)) == FACTOR_LIMIT - 1
 
 
+def test_the_entry_points_refuse_a_non_integer():
+    # before factoring: 12.0 has no bit_length, "3" does not compare with 1
+    entry_points = (factorize, prime_divisors, as_prime_power)
+    factorize(12)  # a float or bool equal to a cached int is still refused
+    for n, shown in ((12.0, r"12\.0"), (3.0, r"3\.0"), ("3", "'3'"), (True, "True"), (None, "None")):
+        for entry_point in entry_points:
+            with pytest.raises(BadParameter, match=rf"^n must be an integer, got {shown}$"):
+                entry_point(n)
+
+
 def test_factorize_cofactor_boundary():
     # a cofactor below the square of the largest table prime (9973) is taken
     # as prime without a test; these sit on both sides of that bound
@@ -271,7 +281,9 @@ def test_non_integers_are_neither_primes_nor_exponents():
     # below 43^2 only trial division runs, which a float passes
     assert not is_prime(2.5)
     assert not is_prime(3.0)
-    with pytest.raises(BadParameter, match="exponent must be a positive integer"):
-        PrimePower(3, 2.0)
+    assert not is_prime(True)
+    for exponent in (2.0, True):
+        with pytest.raises(BadParameter, match="exponent must be a positive integer"):
+            PrimePower(3, exponent)
     with pytest.raises(BadParameter, match="not prime"):
         PrimePower(3.0, 2)

@@ -90,6 +90,8 @@ def test_fresh_primes_skip_excluded():
 def test_fresh_primes_refuses_a_non_integer_count():
     with pytest.raises(BadParameter, match=r"^count must be an integer, got 2\.5$"):
         fresh_primes(2.5, ())
+    with pytest.raises(BadParameter, match=r"^count must be an integer, got True$"):
+        fresh_primes(True, ())
 
 
 def test_find_alphas_refuses_a_non_integer_k_target():
@@ -105,13 +107,26 @@ def test_the_sweeps_refuse_a_non_integer_n():
 
 
 def test_the_sweeps_refuse_non_integer_alpha_bounds():
-    message = r"^alpha range bounds must be integers, got \({}\)$"
-    with pytest.raises(BadParameter, match=message.format(r"2\.5, 10")):
+    with pytest.raises(BadParameter, match=r"^alpha range start must be an integer, got 2\.5$"):
         find_alphas(5, 2, (2.5, 10))
-    with pytest.raises(BadParameter, match=message.format(r"2, 3\.0")):
+    with pytest.raises(BadParameter, match=r"^alpha range end must be an integer, got 3\.0$"):
         sweep_models(5, (2, 3.0))
-    with pytest.raises(BadParameter, match=message.format("'2', 4")):
+    with pytest.raises(BadParameter, match=r"^alpha range start must be an integer, got '2'$"):
         find_alphas(5, 2, ("2", 4))
+    with pytest.raises(BadParameter, match=r"^alpha range end must be an integer, got True$"):
+        find_alphas(5, 2, (2, True))
+
+
+def test_the_sweeps_refuse_an_alpha_range_that_is_not_a_pair():
+    message = r"^an alpha range is a 2-element tuple or list, got {}$"
+    with pytest.raises(BadParameter, match=message.format(r"\(2,\)")):
+        find_alphas(5, 2, (2,))
+    with pytest.raises(BadParameter, match=message.format("5")):
+        find_alphas(5, 2, 5)
+    with pytest.raises(BadParameter, match=message.format(r"\(2, 3, 4\)")):
+        sweep_models(4, (2, 3, 4))
+    # a list pair is a range, as the CLI and JSON give it
+    assert find_alphas(5, 2, [2, 12]) == find_alphas(5, 2, (2, 12))
 
 
 def test_sweep_no_failures_and_cases_realized():
