@@ -206,22 +206,32 @@ def _binomial_pieces(n: int) -> list[int]:
     return [v for v in pieces if v > 1]
 
 
-@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> tuple[int, ...]:
     """Prime factors of n with multiplicity, ascending.
 
     n = 2^m +- 1 is factored piece by piece (`_binomial_pieces`), each piece
-    through this cache, so pieces that 2^a - 1, 2^a + 1 and 2^(2a) - 1 share
+    through one cache, so pieces that 2^a - 1, 2^a + 1 and 2^(2a) - 1 share
     are factored once; other n go to `_factor_generic`.
-    Raises BadParameter unless n is an int (the cache is typed, so 12.0 or
-    True is never answered as 12 or 1), and OutOfRange unless 2 <= n < 2**96.
+    Raises BadParameter unless n is an int, before the cache sees it, and
+    OutOfRange unless 2 <= n < 2**96.
     """
     if require_int("n", n) < 2 or n >= FACTOR_LIMIT:
         raise OutOfRange(f"factorize requires 2 <= n < 2**96, got {n}")
+    return _factorize(n)
+
+
+@lru_cache(maxsize=None)
+def _factorize(n: int) -> tuple[int, ...]:
+    """factorize for an int n already checked to lie in [2, 2**96)."""
     pieces = _binomial_pieces(n)
     if len(pieces) > 1:
-        return tuple(sorted(p for piece in pieces for p in factorize(piece)))
+        return tuple(sorted(p for piece in pieces for p in _factorize(piece)))
     return _factor_generic(n)
+
+
+# the cache is read and cleared through the public name
+factorize.cache_info = _factorize.cache_info
+factorize.cache_clear = _factorize.cache_clear
 
 
 def _factor_generic(n: int) -> tuple[int, ...]:

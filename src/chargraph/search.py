@@ -2,12 +2,15 @@
 verification of the constructed model space.
 
 Everything here is deterministic: exponents ascend, fresh primes are the
-smallest ones available, and records come back in construction order.
+smallest ones available, and records come back in construction order.  The
+swept models of each alpha do not depend on n, so they are built once per
+process and shared by every n of a sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import BadParameter, OutOfRange, require_int
 from .exactness import CATALOG, VerificationRecord, _sweep_records, check_n_domain
@@ -86,7 +89,8 @@ def find_alphas(n: int, k_target: int, alpha_range: tuple[int, int]) -> SearchRe
 
 def fresh_primes(count: int, exclude) -> tuple[int, ...]:
     """The count smallest odd primes outside exclude."""
-    require_int("count", count)
+    if require_int("count", count) < 0:
+        raise BadParameter(f"count must be non-negative, got {count}")
     out: list[int] = []
     banned = set(exclude) | {2}
     candidate = 3
@@ -97,24 +101,31 @@ def fresh_primes(count: int, exclude) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _swept_models(alpha: int) -> tuple[PSL2, tuple[Product, Product, Product]]:
+    """PSL2(2^alpha) and its products with R for each of SOLVABLE_SHAPES, on
+    the smallest odd primes outside pi(2^(2 alpha) - 1); the two-pair model is
+    the one-pair model times the Type4 pair, so its graph is one join more."""
+    exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}
+    p1, p2, p3, p4 = fresh_primes(4, exclude)
+    psl2 = PSL2(PrimePower(2, alpha))
+    one_pair = Product((psl2, disconnected_pair("Type1", p1, p2)))
+    return psl2, (Product((psl2, abelian())), one_pair, Product((one_pair, disconnected_pair("Type4", p3, p4))))
+
+
 def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecord]:
-    """Build PSL2(2^alpha) x R for every alpha in the range, with R abelian,
+    """Check PSL2(2^alpha) x R for every alpha in the range, with R abelian,
     one Type1 pair and a Type1 plus a Type4 pair (0, 1 and 2 pairs, named by
-    SOLVABLE_SHAPES) on the smallest odd primes outside pi(2^(2 alpha) - 1).
-    The two-pair model is the one-pair model times the Type4 pair, so its
-    graph is one join more.  Each model's catalog case is read from the PSL2
-    and pair count it was built from, and the model is checked against the
-    order bound, deciding it once.  A covered case is certificate-checked; a
-    failed certificate surfaces as its own FAIL record."""
+    SOLVABLE_SHAPES).  Each alpha's models are built once per process
+    (`_swept_models`) and shared by every n.  Each model's catalog case is
+    read from the PSL2 and pair count it was built from, and the model is
+    checked against the order bound, deciding it once.  A covered case is
+    certificate-checked; a failed certificate surfaces as its own FAIL record."""
     lo, hi = _check_alpha_range(alpha_range)
     check_n_domain(n)
     records: list[VerificationRecord] = []
     for alpha in range(lo, hi + 1):
-        exclude = set(prime_divisors(2 ** (2 * alpha) - 1)) | {2}
-        p1, p2, p3, p4 = fresh_primes(4, exclude)
-        psl2 = PSL2(PrimePower(2, alpha))
-        one_pair = Product((psl2, disconnected_pair("Type1", p1, p2)))
-        models = (Product((psl2, abelian())), one_pair, Product((one_pair, disconnected_pair("Type4", p3, p4))))
+        psl2, models = _swept_models(alpha)
         for pairs, (shape, model) in enumerate(zip(SOLVABLE_SHAPES, models)):
             records += _sweep_records(model, psl2, pairs, n, alpha=alpha, shape=shape)
     return records

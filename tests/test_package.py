@@ -9,7 +9,7 @@ from chargraph.errors import ChargraphError
 from chargraph.exactness import check_n_exact, verify_hamilton_characterization
 from chargraph.graphs import PrimeGraph, is_kn_free, longest_odd_cycle_at_least
 from chargraph.models import PSL2, DegreeSet, Suzuki
-from chargraph.numtheory import PrimePower, as_prime_power, prime_divisors
+from chargraph.numtheory import PrimePower, as_prime_power, factorize, prime_divisors
 from chargraph.search import find_alphas, fresh_primes, sweep_models
 
 
@@ -40,6 +40,7 @@ INTEGER_PARAMETERS = {
     "sweep_models alpha start": lambda x: sweep_models(5, (x, 4)),
     "sweep_models alpha end": lambda x: sweep_models(5, (2, x)),
     "fresh_primes count": lambda x: fresh_primes(x, ()),
+    "factorize n": factorize,
     "prime_divisors n": prime_divisors,
     "as_prime_power n": as_prime_power,
     "verify_hamilton_characterization f": verify_hamilton_characterization,

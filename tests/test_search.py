@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from chargraph import exactness
+from chargraph import exactness, search
 from chargraph.errors import AsymmetricPiSizes, BadParameter, OutOfRange, ShapeMismatch
 from chargraph.exactness import CATALOG, classify_extremal_case
 from chargraph.models import PSL2, Product, abelian, describe_model, disconnected_pair
@@ -94,6 +94,12 @@ def test_fresh_primes_refuses_a_non_integer_count():
         fresh_primes(True, ())
 
 
+def test_fresh_primes_refuses_a_negative_count():
+    with pytest.raises(BadParameter, match=r"^count must be non-negative, got -1$"):
+        fresh_primes(-1, ())
+    assert fresh_primes(0, ()) == ()
+
+
 def test_find_alphas_refuses_a_non_integer_k_target():
     with pytest.raises(BadParameter, match=r"^k target must be an integer, got 2\.0$"):
         find_alphas(5, 2.0, (2, 12))
@@ -170,6 +176,23 @@ def test_sweep_records_are_deterministic():
     assert [(r.check, r.description, r.passed, r.details) for r in first] == [
         (r.check, r.description, r.passed, r.details) for r in second
     ]
+
+
+def test_each_alpha_builds_its_models_once_for_every_n(monkeypatch):
+    search._swept_models.cache_clear()
+    built = []
+
+    def counted(factors):
+        built.append(factors)
+        return Product(factors)
+
+    monkeypatch.setattr(search, "Product", counted)
+    cold = {n: sweep_models(n, (2, 12)) for n in range(4, 8)}
+    # 11 alphas, 3 shapes each, however many n read them
+    assert len(built) == 33
+    warm = {n: sweep_models(n, (2, 12)) for n in range(4, 8)}
+    assert len(built) == 33
+    assert warm == cold
 
 
 def _swept_models(alpha):
