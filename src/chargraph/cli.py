@@ -130,7 +130,7 @@ def _parse_degree_file(path: str) -> DegreeSet:
             )
             echo = repr(line) if len(line) <= 40 else f"{line[:20]!r}... ({len(line)} characters)"
             raise ChargraphError(f"{path}:{lineno}: {problem}: {echo}") from None
-    return DegreeSet(frozenset(degrees))
+    return DegreeSet(degrees)
 
 
 def _cmd_degrees(args: argparse.Namespace) -> int:

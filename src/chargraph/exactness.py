@@ -42,6 +42,8 @@ NOT_EXACT = "NotExact"
 # disconnected pairs in R counted by PAIRS_OF_LABEL, order - 2n); "a" has the
 # minimum order 2n-5 with abelian R, the "b" cases the maximum order 2n-1
 CATALOG = {"a": (-3, 0, -5), "b.i": (-3, 2, -1), "b.ii": (-2, 1, -1), "b.iii": (-1, 0, -1)}
+# the swept solvable parts, indexed by their number of disconnected pairs
+SOLVABLE_SHAPES = ("abelian", "one_pair", "two_pairs")
 
 
 @dataclass(frozen=True)
@@ -225,17 +227,17 @@ def classify_extremal_case(model: CharModel, n: int) -> ExtremalCase:
     return ExtremalCase(case, alpha, k, expected_order, report, report.verdict and report.order == expected_order)
 
 
-def _sweep_records(model: Product, psl2: PSL2, pairs: int, n: int, **extra: Any) -> list[VerificationRecord]:
+def _sweep_records(model: Product, psl2: PSL2, pairs: int, n: int) -> list[VerificationRecord]:
     """The records of one swept model, built from psl2 and R with this many
-    pairs: its extremal-case record when the catalog covers it, then its
-    order-bound record, whose details end with the extra entries and the
-    case.  Each model is decided once."""
+    pairs (its SOLVABLE_SHAPES index): its extremal-case record when the
+    catalog covers it, then its order-bound record, whose details end with
+    alpha, the shape and the case.  Each model is decided once."""
     name = describe_model(model)
+    alpha = psl2.q.exponent
     case, expected_order = _catalog_case(psl2, pairs, n)
     report = check_n_exact(model.graph, n, character_model=True)
     records = []
     if expected_order is not None:
-        alpha = psl2.q.exponent
         records.append(
             VerificationRecord(
                 check="extremal_case",
@@ -253,7 +255,7 @@ def _sweep_records(model: Product, psl2: PSL2, pairs: int, n: int, **extra: Any)
                 },
             )
         )
-    records.append(_order_bound_record(name, report, **extra, case=case))
+    records.append(_order_bound_record(name, report, alpha=alpha, shape=SOLVABLE_SHAPES[pairs], case=case))
     return records
 
 

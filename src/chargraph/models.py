@@ -35,7 +35,8 @@ _SUZUKI_M_MAX = (FACTOR_LIMIT.bit_length() - 4) // 4
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """A set of character degrees; always contains 1, all entries positive ints."""
+    """A set of character degrees; always contains 1, all entries positive ints,
+    each checked before the set merges them (a set the caller built has merged True into 1)."""
 
     degrees: frozenset[int]
 

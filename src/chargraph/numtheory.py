@@ -121,17 +121,15 @@ def is_prime(n: int) -> bool:
     Miller-Rabin + strong Lucas above it.
 
     n up to the last prime of the factoring sieve (9973) is looked up in that
-    table.  Above it, trial division by the Miller-Rabin bases comes first,
-    then Miller-Rabin runs only the first k prime bases, k the least with n
-    below the k-th A014233 term: the bases proven for n's size.  A non-int
-    is not prime.
+    table.  Above it, Miller-Rabin runs only the first k prime bases, k the
+    least with n below the k-th A014233 term: the bases proven for n's size.
+    A multiple of a base fails that base's round, and base 2 refuses every
+    even n, so no trial division comes first.  A non-int is not prime.
     """
     if type(n) is not int or n < 2:
         return False
     if n <= _SMALL_PRIMES[-1]:
         return _SMALL_PRIMES[bisect_left(_SMALL_PRIMES, n)] == n
-    if any(n % p == 0 for p in _MR_BASES):
-        return False
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

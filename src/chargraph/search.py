@@ -13,15 +13,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadParameter, OutOfRange, require_int
-from .exactness import CATALOG, VerificationRecord, _sweep_records, check_n_domain
+from .exactness import CATALOG, SOLVABLE_SHAPES, VerificationRecord, _sweep_records, check_n_domain
 from .models import PSL2, Product, abelian, disconnected_pair
 from .numtheory import PrimePower, is_prime, prime_divisors
 
 # 2^90 + 1 stays inside the factorization range, with headroom
 ALPHA_CAP = 90
-
-# the swept solvable parts, indexed by their number of disconnected pairs
-SOLVABLE_SHAPES = ("abelian", "one_pair", "two_pairs")
 
 
 @dataclass(frozen=True)
@@ -126,6 +123,6 @@ def sweep_models(n: int, alpha_range: tuple[int, int]) -> list[VerificationRecor
     records: list[VerificationRecord] = []
     for alpha in range(lo, hi + 1):
         psl2, models = _swept_models(alpha)
-        for pairs, (shape, model) in enumerate(zip(SOLVABLE_SHAPES, models)):
-            records += _sweep_records(model, psl2, pairs, n, alpha=alpha, shape=shape)
+        for pairs, model in enumerate(models):
+            records += _sweep_records(model, psl2, pairs, n)
     return records

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import contextlib
 import io
+import random
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargraph import search
 from chargraph.cli import build_parser, document_to_graph, graph_to_document, graph_to_dot, run
 from chargraph.errors import ChargraphError
 from chargraph.graphs import PrimeGraph
@@ -197,11 +199,24 @@ def test_suite_json_matches_the_recorded_digest(capsys):
 
 def test_suite_json_for_larger_n_matches_the_recorded_digest(capsys):
     """The suite documents for n in 8..13 up to alpha 48, concatenated, are
-    pinned byte for byte: larger n reach larger clique and cycle searches."""
+    pinned byte for byte: larger n reach larger clique and cycle searches.
+    The n = 9 document alone is pinned too, as the CI console-script step
+    pins it."""
     outs = [invoke(capsys, "--quiet", "verify", "--suite", "--n", str(n), "--alpha-max", "48") for n in range(8, 14)]
     assert all(code == 0 for code, _, _ in outs)
     text = "".join(out for _, out, _ in outs)
     assert hashlib.sha256(text.encode()).hexdigest() == "a2a055730fe9602f8e24a746e6b4fb06d3ce7a617d99645e7037ca4b2fb8b4dc"
+    assert hashlib.sha256(outs[1][1].encode()).hexdigest() == "bc811f2c88f8b0f89c585e0f67a6a7a4b09486ffc13dc420e98b6fe168e7f795"
+
+
+def test_suite_at_n_5_builds_the_recorded_document_from_a_cold_table(capsys):
+    """The suite at n = 5 alone, its one sweep building every alpha's models
+    from an empty table as a fresh process does, pinned byte for byte, as the
+    CI console-script step pins it."""
+    search._swept_models.cache_clear()
+    code, out, _ = invoke(capsys, "--quiet", "verify", "--suite", "--n", "5", "--alpha-max", "48")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "6b8cebf938c52ade12004b634fe60cb8c4be02fef5169f1c60938e00030f0f46"
 
 
 def test_suzuki_23_document_matches_the_recorded_digest_under_two_hash_seeds():
@@ -271,6 +286,30 @@ def test_analyze_across_the_sieve_bound_matches_the_recorded_digest_under_two_ha
         assert proc.returncode == 0, proc.stderr
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "d56526c2a25380a97c42505f51d45b79c3304e2ec17cad175fcec585af7fe29f", seed
+
+
+def test_caps_1456_analyze_document_matches_the_recorded_digest_under_two_hash_seeds(tmp_path):
+    """The analyze document at n = 15 of the README "Caps" graph at seed 1456
+    (the odd primes 3..101, an edge wherever the draw is at least 0.25),
+    pinned byte for byte in fresh interpreters under two hash seeds, as the
+    CI console-script step pins it.  The forced-edge rule reaches its 25-cycle
+    in milliseconds, so a slow search fails at the timeout instead of
+    stalling the suite."""
+    P = [p for p in range(3, 102) if all(p % d for d in range(2, p))]
+    rng = random.Random(1456)
+    edges = [[P[a], P[b]] for a in range(25) for b in range(a + 1, 25) if rng.random() >= 0.25]
+    path = tmp_path / "caps1456.json"
+    path.write_text(json.dumps({"vertices": P, "edges": edges}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", "--quiet", "analyze", "--n", "15", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "5df276ffff3983054647ee434dbb2bb0c90b24cb5cbbe5797a71a0e54ceae7d5", seed
 
 
 def test_composites_on_either_side_of_the_sieve_bound_exit_2(tmp_path, capsys):

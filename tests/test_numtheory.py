@@ -203,6 +203,9 @@ def test_is_prime_large_values():
     assert not is_prime(2**89 + 1)
     assert is_prime((1 << 61) - 1)
     assert not is_prime((1 << 61) - 3)
+    # multiples of a Miller-Rabin base, which no trial division refuses first
+    for composite in (3 * (2**61 - 1), 41 * (2**61 - 1), 2 * (2**89 - 1), 41 * (2**89 - 1)):
+        assert not is_prime(composite), composite
 
 
 # the base-2 strong pseudoprimes below 10^5 (OEIS A001262)

@@ -1,4 +1,6 @@
+import re
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -63,3 +65,14 @@ def test_a_bool_is_not_an_integer_parameter():
     for build in builds:
         with pytest.raises(ChargraphError):
             build()
+
+
+def test_every_digest_the_workflow_pins_is_pinned_by_a_test():
+    """Each sha256 the CI workflow pins appears in a test file, so tier-1
+    alone checks every document CI checks."""
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    digests = set(re.findall(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])", workflow))
+    tests = "".join(path.read_text(encoding="utf-8") for path in (root / "tests").rglob("*.py"))
+    assert digests
+    assert sorted(d for d in digests if d not in tests) == []
