@@ -92,6 +92,8 @@ def check_n_exact(g: PrimeGraph, n: int, *, character_model: bool = False) -> Ex
     the 2n-1 ceiling is a fact about character graphs, not about arbitrary
     graphs.
     """
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     check_n_domain(n)
     if g.order > MAX_CYCLE_VERTICES:
         raise TooLarge(f"n-exact check is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")

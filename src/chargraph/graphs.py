@@ -150,6 +150,8 @@ class CycleWitness:
 
     def validates_in(self, g: PrimeGraph) -> bool:
         """True when every consecutive pair (cyclically) is an edge of g."""
+        if not isinstance(g, PrimeGraph):
+            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
         vs = self.vertices_in_order
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
@@ -172,11 +174,15 @@ class HamiltonResult(NamedTuple):
 
 def complement(g: PrimeGraph) -> PrimeGraph:
     """Same vertices; an edge exactly where g has none."""
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     full = (1 << g.order) - 1
     return PrimeGraph._trusted(g.vertices, (full ^ mask ^ (1 << i) for i, mask in enumerate(g._adj)))
 
 
 def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     subset = tuple(subset)
     for v in subset:  # before set(): 3.0, True or [3] is absent, as membership says
         if type(v) is not int:
@@ -200,6 +206,9 @@ def join(*graphs: PrimeGraph) -> PrimeGraph:
     through its own table of new bits.  Empty graphs add nothing and are
     skipped; a single non-empty graph is returned as it is, since graphs
     are immutable."""
+    for g in graphs:
+        if not isinstance(g, PrimeGraph):
+            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     graphs = tuple(g for g in graphs if g.order)
     if len(graphs) < 2:
         return graphs[0] if graphs else PrimeGraph._trusted((), ())
@@ -295,6 +304,8 @@ def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
 
 def max_clique(g: PrimeGraph) -> tuple[int, ...]:
     """Lexicographically least maximum clique, as an ascending tuple."""
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     return _max_clique_above(g, 0)
 
 
@@ -305,6 +316,8 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
     its best size, so when g is K_n-free it ends without finding or computing
     a maximum clique.
     """
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     if require_int("n", n) < 2:
         raise BadParameter(f"clique-freeness needs n >= 2, got {n}")
     clique = _max_clique_above(g, n - 1)
@@ -321,6 +334,8 @@ def is_bipartite(g: PrimeGraph) -> BipartiteResult:
     neighbor lies in the vertex's own layer, all discovered before the
     layer's first visit.
     """
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     verts, adj = g.vertices, g._adj
     parent = [0] * len(verts)
     seen = odd = 0  # odd: vertices colored 1, at odd depth in their tree
@@ -358,6 +373,8 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
     min_length must be an odd integer >= 3; even values are a caller error.
     """
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     if type(min_length) is not int or min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length!r}")
     if min_length > g.order:
@@ -372,6 +389,8 @@ def is_hamiltonian(g: PrimeGraph, *, _bipartite: BipartiteResult | None = None) 
 
     _bipartite is library-internal: a caller that also needs is_bipartite(g)
     passes its result, so that the walk runs once."""
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     cycle = _first_cycle(g, g.order, is_bipartite(g) if _bipartite is None else _bipartite)
     return HamiltonResult(cycle is not None, cycle)
 
@@ -383,29 +402,31 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
 
     The depth-first search cuts a subtree only when it holds no qualifying
     cycle, or when a subtree searched before it holds one, so the returned
-    witness is the one the unpruned search would return.  Four rules cut:
-    - reachability: no free vertex reachable from the path's end through
-      free vertices is a neighbor of the start;
-    - degree: too few of those reachable vertices have two neighbors among
-      themselves, the path's end and the start to reach min_length;
+    witness is the one the unpruned search would return.  Each node decides
+    from one count, the vertices that can still lie on the cycle:
+    - reachability: they are the free vertices reachable from the path's
+      end through free vertices, and the node is cut when none of them is a
+      neighbor of the start;
+    - degree: while they are more than the cycle needs, those with fewer
+      than two neighbors among them, the path's end and the start are
+      dropped, and candidates come from the rest;
+    - spare: the path plus those vertices, less min_length, is the number of
+      them the cycle may leave out.  The node is cut when it is negative,
+      and at 0 every one of them lies on the cycle, so a vertex with only two
+      usable neighbors fixes both of its cycle edges (_forced_candidates):
+      the node is cut when these edges cannot all be part of one cycle, and
+      a tight neighbor of the path's end is its only candidate, since every
+      other branch lacks a forced edge;
     - twins: vertices whose neighborhoods agree apart from each other are
       swapped by an automorphism, so a neighbor is skipped while a lower twin
-      of it is free, and a start with a lower twin is skipped;
-    - forced edges: when the path plus every free vertex is exactly
-      min_length long (slack 0, which holds along the whole search from the
-      start s with order - s = min_length), every free vertex lies on the
-      cycle, and a free vertex with only two usable neighbors fixes both of
-      its cycle edges (_forced_candidates).  The node is cut when these
-      edges cannot all be part of one cycle, and a tight neighbor of the
-      path's end is its only candidate, since every other branch lacks a
-      forced edge.  A twin the search skips is tight whenever its lower twin
-      is, so the skip never drops the forced candidate.
-    At min_length = order only start 0 is tried, and the first two rules cut
-    exactly when some unvisited vertex is cut off from the path's end or has
-    fewer than two usable neighbors.  A bipartite graph, as bipartite
-    (is_bipartite(g)) tells, is answered before the search: its cycles are
-    even, each at most twice its smaller part.  Any other graph on more than
-    MAX_CYCLE_VERTICES vertices raises TooLarge.
+      of it is free, and a start with a lower twin is skipped.  A skipped
+      twin is dropped or tight whenever its lower twin is, so the skip never
+      drops the forced candidate.
+    At min_length = order only start 0 is tried, and spare is never above 0.
+    A bipartite graph, as bipartite (is_bipartite(g)) tells, is answered
+    before the search: its cycles are even, each at most twice its smaller
+    part.  Any other graph on more than MAX_CYCLE_VERTICES vertices raises
+    TooLarge.
     """
     if bipartite.is_bipartite and (min_length % 2 or min_length > 2 * min(map(len, bipartite.parts))):
         return None
@@ -416,30 +437,28 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
     twins_below = _twins_below(adj)
     path: list[int] = []
 
-    def dfs(start: int, v: int, visited: int, allowed: int, length: int) -> bool:
+    def dfs(start: int, v: int, free: int, length: int) -> bool:
         if length >= min_length and (length - min_length) % 2 == 0 and (adj[v] >> start) & 1:
             return True
-        free = allowed & ~visited
-        reach = _reach(adj, v, free)
-        if not reach & adj[start]:
+        on = _reach(adj, v, free)
+        if not on & adj[start]:
             return False
-        cand = adj[v] & free
-        if length + free.bit_count() > min_length:
-            around = reach | (1 << v) | (1 << start)
-            usable = sum((adj[u] & around).bit_count() >= 2 for u in _bits(reach))
-            if length + usable < min_length:
-                return False
-        elif reach != free:  # slack 0: every free vertex lies on the cycle
+        if length + on.bit_count() > min_length:
+            around = on | (1 << v) | (1 << start)
+            on = sum(1 << u for u in _bits(on) if (adj[u] & around).bit_count() >= 2)
+        spare = length + on.bit_count() - min_length
+        if spare < 0:
             return False
-        else:
-            cand = _forced_candidates(adj, start, v, free, cand)
+        cand = adj[v] & on
+        if spare == 0:
+            cand = _forced_candidates(adj, start, v, on, cand)
         while cand:
             w = (cand & -cand).bit_length() - 1
             cand &= cand - 1
             if twins_below[w] & free:
                 continue
             path.append(w)
-            if dfs(start, w, visited | (1 << w), allowed, length + 1):
+            if dfs(start, w, free & ~(1 << w), length + 1):
                 return True
             path.pop()
         return False
@@ -451,10 +470,9 @@ def _first_cycle(g: PrimeGraph, min_length: int, bipartite: BipartiteResult) -> 
             break
         if twins_below[s]:
             continue
-        allowed = full & ~((1 << s) - 1)  # cycles whose least vertex is s
         path.clear()
         path.append(s)
-        if dfs(s, s, 1 << s, allowed, 1):
+        if dfs(s, s, full & ~((2 << s) - 1), 1):  # cycles whose least vertex is s
             cycle = CycleWitness(tuple(verts[i] for i in path))
             break
     del dfs  # see _max_clique_above
@@ -531,6 +549,8 @@ def _twins_below(adj: tuple[int, ...]) -> list[int]:
 
 def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, ordered by least element."""
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     adj, rest = g._adj, (1 << g.order) - 1
     components = []
     while rest:
@@ -543,6 +563,9 @@ def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
 
 def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:
     """Isomorphism by brute force, which is capped at 8 vertices."""
+    for g in (g1, g2):
+        if not isinstance(g, PrimeGraph):
+            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
     if g1.order != g2.order or g1.size != g2.size:
         return False
     if sorted(a.bit_count() for a in g1._adj) != sorted(a.bit_count() for a in g2._adj):

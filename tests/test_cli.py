@@ -312,6 +312,30 @@ def test_caps_1456_analyze_document_matches_the_recorded_digest_under_two_hash_s
         assert digest == "5df276ffff3983054647ee434dbb2bb0c90b24cb5cbbe5797a71a0e54ceae7d5", seed
 
 
+def test_caps_91_analyze_document_matches_the_recorded_digest_under_two_hash_seeds(tmp_path):
+    """The analyze document at n = 14 of the README generator on the first 24
+    odd primes, 3..97, at seed 91, pinned as the seed-1456 document is.  Its
+    odd-cycle target 23 may leave one vertex off the cycle; forced edges that
+    act once the vertices left out are known answer it in milliseconds, where
+    forced edges only with no vertex to spare took over 10 s, and the timeout
+    fails a search that slow."""
+    P = [p for p in range(3, 98) if all(p % d for d in range(2, p))]
+    rng = random.Random(91)
+    edges = [[P[a], P[b]] for a in range(24) for b in range(a + 1, 24) if rng.random() >= 0.25]
+    path = tmp_path / "caps91.json"
+    path.write_text(json.dumps({"vertices": P, "edges": edges}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chargraph.cli", "--quiet", "analyze", "--n", "14", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "3bcae4485ef56e318341673c91381d164657a118d46019eb6afbf52fac76f5a3", seed
+
+
 def test_composites_on_either_side_of_the_sieve_bound_exit_2(tmp_path, capsys):
     for composite in (9991, 10001):  # 97 * 103 below the bound, 73 * 137 above it
         path = tmp_path / f"{composite}.json"

@@ -619,33 +619,53 @@ def sparse_graphs(per_family: int):
 
 def test_odd_cycle_and_hamilton_witnesses_match_oracles_on_sparse_graphs():
     # a target of order (Hamilton) or order - 1 leaves no free vertex off the
-    # cycle at the last start tried, where tight vertices force edges
-    for g in sparse_graphs(6):
+    # cycle at the last start tried, where tight vertices force edges; two
+    # below that, edges are forced once the vertices left out are known, and
+    # as the brute force there is slow on 10 vertices, that target runs on
+    # the first four graphs of each family
+    for i, g in enumerate(sparse_graphs(6)):
         verts, edges = g.vertices, g.sorted_edges()
         target = g.order if g.order % 2 else g.order - 1
-        found = longest_odd_cycle_at_least(g, target)
-        assert (found and found.vertices_in_order) == brute_first_odd_cycle(verts, edges, target), g
+        for t in (target, target - 2) if i % 6 < 4 else (target,):
+            found = longest_odd_cycle_at_least(g, t)
+            assert (found and found.vertices_in_order) == brute_first_odd_cycle(verts, edges, t), (g, t)
         cycle = is_hamiltonian(g).cycle
         assert (cycle and cycle.vertices_in_order) == brute_first_hamilton_cycle(verts, edges), g
 
 
-def test_cycle_searches_match_the_recorded_digest():
-    # odd-cycle and Hamilton witnesses over sparse graphs on 14-19 vertices,
-    # the complements of dense graphs near the minimum order 2n - 5, so a
-    # change to the pruning or the branching order that moves any witness
-    # shows here, beyond the reach of the brute-force oracles
-    primes = PRIMES22[:19]
+def digest_graphs():
+    """Sparse graphs on 14-19 vertices, the complements of dense graphs near
+    the minimum order 2n - 5."""
     rng = random.Random(1998)
-    lines = []
     for _ in range(200):
-        verts = rng.sample(primes, rng.randint(14, 19))
+        verts = rng.sample(PRIMES22[:19], rng.randint(14, 19))
         density = rng.uniform(0.12, 0.3)
-        g = PrimeGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < density])
+        yield PrimeGraph(verts, [(a, b) for i, a in enumerate(verts) for b in verts[i + 1 :] if rng.random() < density])
+
+
+def test_cycle_searches_match_the_recorded_digest():
+    # odd-cycle and Hamilton witnesses, so a change to the pruning or the
+    # branching order that moves any witness shows here, beyond the reach of
+    # the brute-force oracles
+    lines = []
+    for g in digest_graphs():
         odd = longest_odd_cycle_at_least(g, g.order if g.order % 2 else g.order - 1)
         ham = is_hamiltonian(g).cycle
         lines.append(repr((odd and odd.vertices_in_order, ham and ham.vertices_in_order)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e4da6a6aa570a7ee890540721d1c45c4e1410d2e77236d55e286a5c3f1303b46"
+
+
+def test_cycle_searches_with_two_vertices_to_spare_match_the_recorded_digest():
+    # the odd target two below order or order - 1, so a cycle may leave out
+    # two more vertices and forced edges act only at nodes where the vertices
+    # left out are known
+    lines = []
+    for g in digest_graphs():
+        odd = longest_odd_cycle_at_least(g, g.order - 2 if g.order % 2 else g.order - 3)
+        lines.append(repr(odd and odd.vertices_in_order))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ac0aadd4697a7e32e4102d673a9c6c3ebecce9400cd2e6911e1291be9d32c532"
 
 
 # --- components / isomorphism ---

@@ -9,7 +9,20 @@ from hypothesis import strategies as st
 import chargraph
 from chargraph.errors import ChargraphError
 from chargraph.exactness import check_n_exact, verify_hamilton_characterization
-from chargraph.graphs import PrimeGraph, is_kn_free, longest_odd_cycle_at_least
+from chargraph.graphs import (
+    CycleWitness,
+    PrimeGraph,
+    complement,
+    connected_components,
+    induced_subgraph,
+    is_bipartite,
+    is_hamiltonian,
+    is_kn_free,
+    isomorphic_small,
+    join,
+    longest_odd_cycle_at_least,
+    max_clique,
+)
 from chargraph.models import PSL2, DegreeSet, Suzuki
 from chargraph.numtheory import PrimePower, as_prime_power, factorize, prime_divisors
 from chargraph.search import find_alphas, fresh_primes, sweep_models
@@ -57,6 +70,35 @@ def test_every_integer_parameter_refuses_any_other_value(parameter, value):
     # a library error, never a TypeError, ValueError or AttributeError from inside
     with pytest.raises(ChargraphError):
         INTEGER_PARAMETERS[parameter](value)
+
+
+# each public entry point with one graph parameter left open
+GRAPH_PARAMETERS = {
+    "check_n_exact g": lambda x: check_n_exact(x, 5),
+    "complement g": complement,
+    "connected_components g": connected_components,
+    "induced_subgraph g": lambda x: induced_subgraph(x, ()),
+    "is_bipartite g": is_bipartite,
+    "is_hamiltonian g": is_hamiltonian,
+    "is_kn_free g": lambda x: is_kn_free(x, 3),
+    "isomorphic_small g1": lambda x: isomorphic_small(x, PATH),
+    "isomorphic_small g2": lambda x: isomorphic_small(PATH, x),
+    "join first graph": join,
+    "join later graph": lambda x: join(PrimeGraph((7,)), x),
+    "longest_odd_cycle_at_least g": lambda x: longest_odd_cycle_at_least(x, 3),
+    "max_clique g": max_clique,
+    "CycleWitness.validates_in g": CycleWitness((2, 3, 5)).validates_in,
+}
+
+NON_GRAPHS = st.one_of(NON_INTEGERS, st.integers(), st.tuples(st.integers(), st.integers()), st.just(CycleWitness((2, 3, 5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(GRAPH_PARAMETERS)), NON_GRAPHS)
+def test_every_graph_parameter_refuses_any_other_value(parameter, value):
+    # a library error naming the graph, never an AttributeError from inside
+    with pytest.raises(ChargraphError, match="graph must be a PrimeGraph"):
+        GRAPH_PARAMETERS[parameter](value)
 
 
 def test_a_bool_is_not_an_integer_parameter():
