@@ -16,7 +16,7 @@ from typing import Any
 
 from .errors import ChargraphError, OutOfRange, TooLarge
 from .exactness import CATALOG, VerificationRecord, check_n_exact, verify_hamilton_characterization
-from .graphs import CycleWitness, PrimeGraph, connected_components
+from .graphs import CycleWitness, PrimeGraph, connected_components, require_graph
 from .models import DegreeSet, graph_from_degrees, psl2_graph, suzuki_graph
 from .search import find_alphas, sweep_models
 
@@ -27,7 +27,7 @@ K_OFFSETS = {f"n{dk}": dk for dk, _, _ in CATALOG.values()}
 
 def graph_to_document(g: PrimeGraph, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     doc: dict[str, Any] = {
-        "vertices": list(g.vertices),
+        "vertices": list(require_graph(g).vertices),
         "edges": [list(e) for e in g.sorted_edges()],
     }
     if metadata:
@@ -55,7 +55,7 @@ def document_to_graph(doc: Any) -> tuple[PrimeGraph, dict[str, Any]]:
 
 def graph_to_dot(g: PrimeGraph) -> str:
     lines = ["graph primes {"]
-    lines += [f"  {v};" for v in g.vertices]
+    lines += [f"  {v};" for v in require_graph(g).vertices]
     lines += [f"  {a} -- {b};" for a, b in g.sorted_edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"

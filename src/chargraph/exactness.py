@@ -17,11 +17,12 @@ from .graphs import (
     MAX_CYCLE_VERTICES,
     CycleWitness,
     PrimeGraph,
+    _first_cycle,
     complement,
     is_bipartite,
-    is_hamiltonian,
     is_kn_free,
     longest_odd_cycle_at_least,
+    require_graph,
 )
 from .models import (
     PAIRS_OF_LABEL,
@@ -92,8 +93,7 @@ def check_n_exact(g: PrimeGraph, n: int, *, character_model: bool = False) -> Ex
     the 2n-1 ceiling is a fact about character graphs, not about arbitrary
     graphs.
     """
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     check_n_domain(n)
     if g.order > MAX_CYCLE_VERTICES:
         raise TooLarge(f"n-exact check is capped at {MAX_CYCLE_VERTICES} vertices, got {g.order}")
@@ -273,8 +273,8 @@ def verify_hamilton_characterization(f: int) -> VerificationRecord:
     psl2 = PSL2(PrimePower(2, f))
     comp = complement(psl2.graph)
     bipartite = is_bipartite(comp)
-    hamilton = is_hamiltonian(comp, _bipartite=bipartite)  # one walk answers both
-    graph_side = (not bipartite.is_bipartite) and hamilton.is_hamiltonian
+    cycle = _first_cycle(comp, comp.order, bipartite)  # is_hamiltonian(comp), on the same walk
+    graph_side = (not bipartite.is_bipartite) and cycle is not None
     k_minus, k_plus = len(psl2.pi_minus), len(psl2.pi_plus)
     balanced = abs(k_plus - k_minus) <= 1
     return VerificationRecord(
@@ -287,7 +287,7 @@ def verify_hamilton_characterization(f: int) -> VerificationRecord:
             "pi_plus_size": k_plus,
             "balanced": balanced,
             "non_bipartite": not bipartite.is_bipartite,
-            "hamiltonian": hamilton.is_hamiltonian,
-            "hamilton_cycle": list(hamilton.cycle.vertices_in_order) if hamilton.cycle else None,
+            "hamiltonian": cycle is not None,
+            "hamilton_cycle": list(cycle.vertices_in_order) if cycle else None,
         },
     )

@@ -18,8 +18,8 @@ depth-first cycle search, with one size cap it checks after its cheap
 answers, serves both cycle questions: an odd cycle of length at least a
 target, and a cycle through every vertex.  Components reuse that search's
 reachability walk, and bipartiteness is one breadth-first walk that stops at
-the first conflict; the cycle search starts from its answer, which a caller
-that also needs it can hand to the Hamilton search.
+the first conflict; the cycle search starts from its answer, so a library
+caller that needs both walks once and hands that answer to the cycle search.
 
 Graphs are immutable after construction.  Every search is deterministic:
 ties break by ascending vertex order, so identical inputs give identical
@@ -129,6 +129,13 @@ class PrimeGraph:
         return f"PrimeGraph(vertices={self.vertices}, edges={self.sorted_edges()})"
 
 
+def require_graph(g: object) -> PrimeGraph:
+    """g, refused with BadParameter unless it is a PrimeGraph."""
+    if not isinstance(g, PrimeGraph):
+        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    return g
+
+
 @dataclass(frozen=True)
 class CycleWitness:
     """A simple cycle given by its vertices in traversal order."""
@@ -150,8 +157,7 @@ class CycleWitness:
 
     def validates_in(self, g: PrimeGraph) -> bool:
         """True when every consecutive pair (cyclically) is an edge of g."""
-        if not isinstance(g, PrimeGraph):
-            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+        require_graph(g)
         vs = self.vertices_in_order
         return all(g.has_edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 
@@ -174,15 +180,13 @@ class HamiltonResult(NamedTuple):
 
 def complement(g: PrimeGraph) -> PrimeGraph:
     """Same vertices; an edge exactly where g has none."""
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     full = (1 << g.order) - 1
     return PrimeGraph._trusted(g.vertices, (full ^ mask ^ (1 << i) for i, mask in enumerate(g._adj)))
 
 
 def induced_subgraph(g: PrimeGraph, subset: Iterable[int]) -> PrimeGraph:
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     subset = tuple(subset)
     for v in subset:  # before set(): 3.0, True or [3] is absent, as membership says
         if type(v) is not int:
@@ -207,8 +211,7 @@ def join(*graphs: PrimeGraph) -> PrimeGraph:
     skipped; a single non-empty graph is returned as it is, since graphs
     are immutable."""
     for g in graphs:
-        if not isinstance(g, PrimeGraph):
-            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+        require_graph(g)
     graphs = tuple(g for g in graphs if g.order)
     if len(graphs) < 2:
         return graphs[0] if graphs else PrimeGraph._trusted((), ())
@@ -304,8 +307,7 @@ def _max_clique_above(g: PrimeGraph, floor: int) -> tuple[int, ...]:
 
 def max_clique(g: PrimeGraph) -> tuple[int, ...]:
     """Lexicographically least maximum clique, as an ascending tuple."""
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     return _max_clique_above(g, 0)
 
 
@@ -316,8 +318,7 @@ def is_kn_free(g: PrimeGraph, n: int) -> KnFreeResult:
     its best size, so when g is K_n-free it ends without finding or computing
     a maximum clique.
     """
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     if require_int("n", n) < 2:
         raise BadParameter(f"clique-freeness needs n >= 2, got {n}")
     clique = _max_clique_above(g, n - 1)
@@ -334,8 +335,7 @@ def is_bipartite(g: PrimeGraph) -> BipartiteResult:
     neighbor lies in the vertex's own layer, all discovered before the
     layer's first visit.
     """
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     verts, adj = g.vertices, g._adj
     parent = [0] * len(verts)
     seen = odd = 0  # odd: vertices colored 1, at odd depth in their tree
@@ -373,8 +373,7 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
 
     min_length must be an odd integer >= 3; even values are a caller error.
     """
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     if type(min_length) is not int or min_length < 3 or min_length % 2 == 0:
         raise BadParameter(f"cycle length target must be an odd integer >= 3, got {min_length!r}")
     if min_length > g.order:
@@ -382,16 +381,12 @@ def longest_odd_cycle_at_least(g: PrimeGraph, min_length: int) -> CycleWitness |
     return _first_cycle(g, min_length, is_bipartite(g))
 
 
-def is_hamiltonian(g: PrimeGraph, *, _bipartite: BipartiteResult | None = None) -> HamiltonResult:
+def is_hamiltonian(g: PrimeGraph) -> HamiltonResult:
     """Exact Hamiltonian-cycle search: the first cycle through all vertices
     in canonical search order, so it starts at the least vertex, under the
-    cycle search's cap.
-
-    _bipartite is library-internal: a caller that also needs is_bipartite(g)
-    passes its result, so that the walk runs once."""
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
-    cycle = _first_cycle(g, g.order, is_bipartite(g) if _bipartite is None else _bipartite)
+    cycle search's cap."""
+    require_graph(g)
+    cycle = _first_cycle(g, g.order, is_bipartite(g))
     return HamiltonResult(cycle is not None, cycle)
 
 
@@ -549,8 +544,7 @@ def _twins_below(adj: tuple[int, ...]) -> list[int]:
 
 def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
     """Maximal connected vertex sets, ordered by least element."""
-    if not isinstance(g, PrimeGraph):
-        raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+    require_graph(g)
     adj, rest = g._adj, (1 << g.order) - 1
     components = []
     while rest:
@@ -564,8 +558,7 @@ def connected_components(g: PrimeGraph) -> list[tuple[int, ...]]:
 def isomorphic_small(g1: PrimeGraph, g2: PrimeGraph) -> bool:
     """Isomorphism by brute force, which is capped at 8 vertices."""
     for g in (g1, g2):
-        if not isinstance(g, PrimeGraph):
-            raise BadParameter(f"graph must be a PrimeGraph, got {g!r}")
+        require_graph(g)
     if g1.order != g2.order or g1.size != g2.size:
         return False
     if sorted(a.bit_count() for a in g1._adj) != sorted(a.bit_count() for a in g2._adj):

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Union
 
 from .errors import BadParameter, ModelError, OutOfRange, require_int
-from .graphs import PrimeGraph, join
+from .graphs import PrimeGraph, join, require_graph
 from .numtheory import FACTOR_LIMIT, PrimePower, as_prime_power, prime_divisors
 
 # solvable label -> number of disconnected groups (Type1/Type4 pairs) it is a product of
@@ -131,7 +131,7 @@ class AbstractSolvable:
     def __post_init__(self) -> None:
         if self.label not in SOLVABLE_LABELS:
             raise ModelError(f"unknown solvable label {self.label!r}; expected one of {SOLVABLE_LABELS}")
-        g = self.graph
+        g = require_graph(self.graph)
         if self.label == "Abelian" and g.order:
             raise ModelError("an abelian model has no degree primes")
         if PAIRS_OF_LABEL[self.label] == 1 and (g.order != 2 or g.size != 0):
@@ -187,6 +187,8 @@ def c4_product(p1: int, p2: int, q1: int, q2: int) -> AbstractSolvable:
 def graph_from_degrees(degrees: DegreeSet) -> PrimeGraph:
     """Graph on the primes dividing some degree; p and q are adjacent exactly
     when p*q divides some degree."""
+    if not isinstance(degrees, DegreeSet):
+        raise BadParameter(f"degrees must be a DegreeSet, got {degrees!r}")
     return _clique_union(*map(prime_divisors, degrees.sorted()))
 
 

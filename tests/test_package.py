@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chargraph
+from chargraph.cli import graph_to_document, graph_to_dot
 from chargraph.errors import ChargraphError
 from chargraph.exactness import check_n_exact, verify_hamilton_characterization
 from chargraph.graphs import (
@@ -23,7 +24,7 @@ from chargraph.graphs import (
     longest_odd_cycle_at_least,
     max_clique,
 )
-from chargraph.models import PSL2, DegreeSet, Suzuki
+from chargraph.models import PSL2, AbstractSolvable, DegreeSet, Suzuki, graph_from_degrees
 from chargraph.numtheory import PrimePower, as_prime_power, factorize, prime_divisors
 from chargraph.search import find_alphas, fresh_primes, sweep_models
 
@@ -74,6 +75,7 @@ def test_every_integer_parameter_refuses_any_other_value(parameter, value):
 
 # each public entry point with one graph parameter left open
 GRAPH_PARAMETERS = {
+    "AbstractSolvable graph": lambda x: AbstractSolvable("Type1", x),
     "check_n_exact g": lambda x: check_n_exact(x, 5),
     "complement g": complement,
     "connected_components g": connected_components,
@@ -88,6 +90,8 @@ GRAPH_PARAMETERS = {
     "longest_odd_cycle_at_least g": lambda x: longest_odd_cycle_at_least(x, 3),
     "max_clique g": max_clique,
     "CycleWitness.validates_in g": CycleWitness((2, 3, 5)).validates_in,
+    "graph_to_document g": graph_to_document,
+    "graph_to_dot g": graph_to_dot,
 }
 
 NON_GRAPHS = st.one_of(NON_INTEGERS, st.integers(), st.tuples(st.integers(), st.integers()), st.just(CycleWitness((2, 3, 5))))
@@ -99,6 +103,14 @@ def test_every_graph_parameter_refuses_any_other_value(parameter, value):
     # a library error naming the graph, never an AttributeError from inside
     with pytest.raises(ChargraphError, match="graph must be a PrimeGraph"):
         GRAPH_PARAMETERS[parameter](value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(NON_GRAPHS, st.frozensets(st.integers(min_value=1)), st.just(PATH)))
+def test_graph_from_degrees_refuses_anything_but_a_degree_set(value):
+    # a library error, never an AttributeError from inside
+    with pytest.raises(ChargraphError, match="degrees must be a DegreeSet"):
+        graph_from_degrees(value)
 
 
 def test_a_bool_is_not_an_integer_parameter():
